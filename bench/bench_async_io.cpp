@@ -1,16 +1,13 @@
 // Async block layer A/B: the same put-heavy (journal-commit-bound)
-// workload swept over submission-ring depths on an NVMe cost model,
-// plus a legacy whole-block-journal leg at the default depth.
+// workload swept over submission-ring depths on an NVMe cost model.
 //
-// Two effects are measured, matching the two halves of the upgrade:
-//   - ring depth: each journal commit submits its record blocks as ONE
-//     ring submission, which the latency model amortises across the
-//     device queue (queue_depth 16 for Nvme) — depth 0 boots with
-//     async_io off, forcing queue_depth 1, the honest serialized
-//     baseline;
-//   - extent records: journal bytes per put collapse when only dirty
-//     byte ranges are logged instead of full block images
-//     (journal.write_amp in the metrics snapshot tracks the same ratio).
+// Each journal commit submits its record blocks as ONE ring submission,
+// which the latency model amortises across the device queue (queue_depth
+// 16 for Nvme) — depth 0 boots with async_io off, forcing queue_depth 1,
+// the honest serialized baseline. Every leg also reports the extent
+// journal's bytes per put and write amplification (journal bytes per
+// logical record byte; journal.write_amp in the metrics snapshot tracks
+// the same ratio).
 //
 // Artifact: BENCH_async_io.json with per-depth device-normalized puts/s,
 // journal bytes/put, write amplification, and the ring counters
@@ -36,7 +33,7 @@ struct LegResult {
   double ops_submitted = 0;
 };
 
-LegResult RunLeg(std::size_t ring_depth, bool journal_extents) {
+LegResult RunLeg(std::size_t ring_depth) {
   RgpdWorld world = MakeRgpdWorld(
       kSubjects, /*per_subject=*/1, /*consent_fraction=*/1.0,
       /*worker_threads=*/1, [&](core::BootConfig& config) {
@@ -46,7 +43,6 @@ LegResult RunLeg(std::size_t ring_depth, bool journal_extents) {
         config.cache_decisions = false;
         config.async_io = ring_depth != 0;
         config.ring_depth = ring_depth == 0 ? 16 : ring_depth;
-        config.journal_extents = journal_extents;
         // More room: the timed loop adds kPuts records on top of the
         // boot population.
         config.dbfs_blocks += kPuts * 14;
@@ -116,11 +112,10 @@ int Main() {
               "jnl bytes/put", "write_amp", "coalesced", "ring ops");
   double sync_pps = 0;
   double deep_pps = 0;
-  double extent_bpp = 0;
   for (const std::size_t depth : {std::size_t(0), std::size_t(1),
                                   std::size_t(4), std::size_t(16),
                                   std::size_t(32)}) {
-    const LegResult leg = RunLeg(depth, /*journal_extents=*/true);
+    const LegResult leg = RunLeg(depth);
     const std::string name =
         depth == 0 ? "sync" : "depth_" + std::to_string(depth);
     std::printf("%-14s %14.0f %16.0f %10.2fx %12.0f %12.0f\n", name.c_str(),
@@ -133,30 +128,12 @@ int Main() {
     stats.emplace_back(name + ".coalesced_flushes", leg.coalesced_flushes);
     stats.emplace_back(name + ".ops_submitted", leg.ops_submitted);
     if (depth == 0) sync_pps = leg.puts_per_sec;
-    if (depth == 16) {
-      deep_pps = leg.puts_per_sec;
-      extent_bpp = leg.journal_bytes_per_put;
-    }
+    if (depth == 16) deep_pps = leg.puts_per_sec;
   }
-  const LegResult legacy = RunLeg(16, /*journal_extents=*/false);
-  std::printf("%-14s %14.0f %16.0f %10.2fx %12.0f %12.0f\n", "legacy_d16",
-              legacy.puts_per_sec, legacy.journal_bytes_per_put,
-              legacy.write_amp, legacy.coalesced_flushes,
-              legacy.ops_submitted);
-  stats.emplace_back("legacy_d16.puts_per_sec", legacy.puts_per_sec);
-  stats.emplace_back("legacy_d16.journal_bytes_per_put",
-                     legacy.journal_bytes_per_put);
-  stats.emplace_back("legacy_d16.write_amp", legacy.write_amp);
 
   const double ring_speedup = sync_pps > 0 ? deep_pps / sync_pps : 0;
-  const double extent_ratio =
-      extent_bpp > 0 ? legacy.journal_bytes_per_put / extent_bpp : 0;
   std::printf("ring speedup (depth 16 / sync): %.2fx\n", ring_speedup);
-  std::printf("extent journal shrink (legacy / extent bytes per put): "
-              "%.1fx\n",
-              extent_ratio);
   stats.emplace_back("ring_speedup_depth16", ring_speedup);
-  stats.emplace_back("extent_vs_legacy_bytes_ratio", extent_ratio);
 
   DumpBenchArtifact("async_io", stats);
   return 0;

@@ -105,13 +105,7 @@ class Console {
       in >> record;
       Recover(record);
     } else if (command == "scavenge") {
-      auto scavenged =
-          os_->builtins().ScavengeExpired(os_->authority().public_key());
-      if (scavenged.ok()) {
-        std::printf("  scavenged %zu expired records\n", *scavenged);
-      } else {
-        Report(scavenged.status(), "");
-      }
+      Scavenge();
     } else if (command == "audit") {
       Audit();
     } else if (command == "log") {
@@ -246,6 +240,23 @@ class Console {
                 plaintext->size());
   }
 
+  /// One full retention-sweeper cycle: every record past its TTL is
+  /// crypto-erased under the authority key.
+  void Scavenge() {
+    std::uint64_t erased = 0;
+    for (;;) {
+      auto report = os_->retention().SweepOnce();
+      if (!report.ok()) {
+        Report(report.status(), "");
+        return;
+      }
+      erased += report->erased;
+      if (report->wrapped) break;
+    }
+    std::printf("  scavenged %llu expired records\n",
+                static_cast<unsigned long long>(erased));
+  }
+
   void Audit() {
     std::printf("  sentinel: %llu allowed, %llu denied\n",
                 static_cast<unsigned long long>(
@@ -284,7 +295,10 @@ constexpr const char* kDemoScript[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto booted = core::RgpdOs::Boot(core::BootConfig{});
+  // Crypto-erasing expiry keeps `recover <id>` working after `scavenge`.
+  core::BootConfig config;
+  config.retention_crypto_erase = true;
+  auto booted = core::RgpdOs::Boot(config);
   if (!booted.ok()) {
     std::fprintf(stderr, "boot failed: %s\n",
                  booted.status().ToString().c_str());

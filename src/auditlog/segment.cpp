@@ -8,17 +8,13 @@
 
 namespace rgpdos::auditlog {
 
-Bytes EncodeSealedSegment(const SegmentInfo& info, ByteSpan raw_payload,
-                          bool compress) {
+Bytes EncodeSealedSegment(const SegmentInfo& info, ByteSpan raw_payload) {
   SegmentCodec codec = SegmentCodec::kRaw;
-  Bytes compressed;
   ByteSpan payload = raw_payload;
-  if (compress) {
-    compressed = LzCompress(raw_payload);
-    if (compressed.size() < raw_payload.size()) {
-      codec = SegmentCodec::kLz;
-      payload = compressed;
-    }
+  const Bytes compressed = LzCompress(raw_payload);
+  if (compressed.size() < raw_payload.size()) {
+    codec = SegmentCodec::kLz;
+    payload = compressed;
   }
   ByteWriter w(payload.size() + 128);
   w.PutU32(kSegmentMagic);

@@ -1,9 +1,9 @@
 // Sealed audit-log segment format (DESIGN.md §14).
 //
 // A sealed segment is the immutable unit of the durable audit pipeline:
-// a fixed-size run of encoded log entries, optionally compressed, with
-// a CRC'd header binding the payload to its place in the SHA-256 hash
-// chain. Tamper evidence is layered:
+// a fixed-size run of encoded log entries, compressed when that shrinks
+// it, with a CRC'd header binding the payload to its place in the
+// SHA-256 hash chain. Tamper evidence is layered:
 //
 //   * header_crc / payload_crc catch accidental corruption (torn write,
 //     bit rot) without touching the payload codec;
@@ -40,10 +40,9 @@ struct SegmentInfo {
   std::uint64_t raw_size = 0;         ///< uncompressed payload bytes
 };
 
-/// Encode header + payload (compressing when `compress` and the LZ
-/// stream is actually smaller).
-Bytes EncodeSealedSegment(const SegmentInfo& info, ByteSpan raw_payload,
-                          bool compress);
+/// Encode header + payload (LZ-compressed when the LZ stream is actually
+/// smaller, raw otherwise).
+Bytes EncodeSealedSegment(const SegmentInfo& info, ByteSpan raw_payload);
 
 /// Decode + verify a sealed segment: header CRC, payload CRC, magic and
 /// version, then decompress. Any mismatch is kCorruption.

@@ -14,15 +14,6 @@ constexpr std::uint32_t kManifestMagic = 0x4D534752;  // "RGSM"
 constexpr std::uint32_t kManifestVersion = 1;
 }  // namespace
 
-bool SegmentedLog::LooksLikeManifest(ByteSpan bytes) {
-  if (bytes.size() < sizeof(std::uint32_t)) return false;
-  std::uint32_t magic = 0;
-  for (std::size_t i = 0; i < sizeof(magic); ++i) {
-    magic |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  }
-  return magic == kManifestMagic;
-}
-
 Bytes SegmentedLog::EncodeManifest() const {
   ByteWriter w(64 + sealed_.size() * 56);
   w.PutU32(kManifestMagic);
@@ -166,8 +157,7 @@ Status SegmentedLog::SealActive() {
   info.chain_prev = active_chain_prev_;
   info.chain_tail = chain_tail_;
   info.raw_size = active_buf_.size();
-  const Bytes stored = EncodeSealedSegment(info, active_buf_,
-                                           options_.compress);
+  const Bytes stored = EncodeSealedSegment(info, active_buf_);
 
   // Seal atomically: the sealed image, the manifest update and the
   // active-tail truncation commit as ONE journal transaction, so a crash

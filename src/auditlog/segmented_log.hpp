@@ -43,8 +43,6 @@ namespace rgpdos::auditlog {
 struct SegmentedLogOptions {
   /// Seal threshold on the raw (uncompressed) active tail, in bytes.
   std::uint64_t segment_bytes = 256 * 1024;
-  /// Compress sealed segments (raw is kept when LZ doesn't shrink).
-  bool compress = true;
 };
 
 /// A sealed segment as indexed by the manifest.
@@ -72,11 +70,6 @@ class SegmentedLog {
   static Result<std::unique_ptr<SegmentedLog>> Mount(
       inodefs::InodeStore* store, inodefs::InodeId manifest_inode,
       const SegmentedLogOptions& options);
-
-  /// True if `bytes` (content of a manifest inode) starts with the
-  /// manifest magic — used to tell a segmented log from a legacy flat
-  /// one when attaching to an existing image.
-  [[nodiscard]] static bool LooksLikeManifest(ByteSpan bytes);
 
   /// Append one batch of pre-encoded entries to the active tail (one
   /// journaled transaction), sealing + rotating first if the tail is

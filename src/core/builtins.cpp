@@ -149,23 +149,4 @@ Status Builtins::SetAutomatedDecisionOptOut(const PdRef& ref, bool opt_out) {
   return Status::Ok();
 }
 
-Result<std::size_t> Builtins::ScavengeExpired(
-    const crypto::RsaPublicKey& authority_key) {
-  const TimeMicros now = clock_->Now();
-  std::size_t scavenged = 0;
-  for (const std::string& type : dbfs_->TypeNames()) {
-    RGPD_ASSIGN_OR_RETURN(std::vector<dbfs::RecordId> records,
-                          dbfs_->RecordsOfType(kDed, type));
-    for (dbfs::RecordId id : records) {
-      RGPD_ASSIGN_OR_RETURN(membrane::Membrane m, dbfs_->GetMembrane(kDed, id));
-      if (!m.ExpiredAt(now)) continue;
-      RGPD_ASSIGN_OR_RETURN(dbfs::PdRecord record, dbfs_->Get(kDed, id));
-      if (record.erased) continue;  // already sealed
-      RGPD_RETURN_IF_ERROR(EraseWithHold(PdRef{id, type}, authority_key));
-      ++scavenged;
-    }
-  }
-  return scavenged;
-}
-
 }  // namespace rgpdos::core

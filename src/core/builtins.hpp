@@ -15,9 +15,9 @@ namespace rgpdos::core {
 
 class Builtins {
  public:
-  Builtins(dbfs::DbfsApi* dbfs, ProcessingLog* log, const Clock* clock,
+  Builtins(dbfs::DbfsApi* dbfs, ProcessingLog* log,
            crypto::SecureRandom* rng)
-      : dbfs_(dbfs), log_(log), clock_(clock), rng_(rng) {}
+      : dbfs_(dbfs), log_(log), rng_(rng) {}
 
   /// update: replace a record's row (schema-checked, scrubbed rewrite).
   Status Update(const PdRef& ref, const db::Row& row);
@@ -57,14 +57,6 @@ class Builtins {
   /// decisions on this PD's copy group.
   Status SetAutomatedDecisionOptOut(const PdRef& ref, bool opt_out);
 
-  /// TTL scavenger: enforce the membranes' `age:` clauses proactively.
-  /// Scans every live record; records past their time-to-live are
-  /// crypto-erased under the authority key (storage-limitation principle
-  /// — expired PD must not merely be unreadable, it must be gone).
-  /// Returns the number of records scavenged.
-  Result<std::size_t> ScavengeExpired(
-      const crypto::RsaPublicKey& authority_key);
-
  private:
   Status PropagateConsent(const PdRef& ref,
                           const std::function<void(membrane::Membrane&)>&
@@ -72,7 +64,6 @@ class Builtins {
 
   dbfs::DbfsApi* dbfs_;            // borrowed
   ProcessingLog* log_;          // borrowed
-  const Clock* clock_;          // borrowed
   crypto::SecureRandom* rng_;   // borrowed
 };
 

@@ -118,74 +118,47 @@ Status ProcessingLog::AttachSegmentedStore(
   RGPD_ASSIGN_OR_RETURN(
       segments_, auditlog::SegmentedLog::Create(store, manifest_inode,
                                                 options));
-  store_ = nullptr;
-  inode_ = inodefs::kInvalidInode;
   return Status::Ok();
 }
 
 Status ProcessingLog::LoadFromStore(
     inodefs::InodeStore* store, inodefs::InodeId inode,
     const auditlog::SegmentedLogOptions& options) {
-  RGPD_ASSIGN_OR_RETURN(Bytes raw, store->ReadAll(inode));
-
-  if (auditlog::SegmentedLog::LooksLikeManifest(raw)) {
-    RGPD_ASSIGN_OR_RETURN(
-        std::unique_ptr<auditlog::SegmentedLog> segments,
-        auditlog::SegmentedLog::Mount(store, inode, options));
-    // Entry-level pass: decode every segment payload and the active
-    // tail, verifying the chain and cross-checking each sealed
-    // segment's recorded tail against what its entries actually hash
-    // to.
-    std::vector<LogEntry> loaded;
-    std::uint64_t next_seq = 0;
-    crypto::Sha256Digest prev{};
-    std::size_t chunk = 0;
-    std::uint64_t entries_before_active = 0;
-    RGPD_RETURN_IF_ERROR(segments->ScanRaw([&](ByteSpan chunk_raw) {
-      RGPD_RETURN_IF_ERROR(
-          DecodeVerifiedStream(chunk_raw, &next_seq, &prev, &loaded));
-      if (chunk < segments->sealed().size()) {
-        const auditlog::SealedSegment& seg = segments->sealed()[chunk];
-        if (!crypto::DigestEqual(prev, seg.chain_tail)) {
-          return Corruption(
-              "processing log: sealed segment tail does not match its "
-              "entries");
-        }
-        entries_before_active = next_seq;
-      }
-      ++chunk;
-      return Status::Ok();
-    }));
-    segments->AdoptActiveState(
-        static_cast<std::uint32_t>(next_seq - entries_before_active), prev);
-
-    std::lock_guard<metrics::OrderedMutex> lock(mu_);
-    segments_ = std::move(segments);
-    store_ = nullptr;
-    inode_ = inodefs::kInvalidInode;
-    entries_.assign(std::make_move_iterator(loaded.begin()),
-                    std::make_move_iterator(loaded.end()));
-    total_ = next_seq;
-    tail_ = prev;
-    window_prev_ = crypto::Sha256Digest{};
-    TrimWindowLocked();
-    return Status::Ok();
-  }
-
-  // Legacy flat stream.
+  RGPD_ASSIGN_OR_RETURN(std::unique_ptr<auditlog::SegmentedLog> segments,
+                        auditlog::SegmentedLog::Mount(store, inode, options));
+  // Entry-level pass: decode every segment payload and the active tail,
+  // verifying the chain and cross-checking each sealed segment's
+  // recorded tail against what its entries actually hash to.
   std::vector<LogEntry> loaded;
   std::uint64_t next_seq = 0;
   crypto::Sha256Digest prev{};
-  RGPD_RETURN_IF_ERROR(DecodeVerifiedStream(raw, &next_seq, &prev, &loaded));
+  std::size_t chunk = 0;
+  std::uint64_t entries_before_active = 0;
+  RGPD_RETURN_IF_ERROR(segments->ScanRaw([&](ByteSpan chunk_raw) {
+    RGPD_RETURN_IF_ERROR(
+        DecodeVerifiedStream(chunk_raw, &next_seq, &prev, &loaded));
+    if (chunk < segments->sealed().size()) {
+      const auditlog::SealedSegment& seg = segments->sealed()[chunk];
+      if (!crypto::DigestEqual(prev, seg.chain_tail)) {
+        return Corruption(
+            "processing log: sealed segment tail does not match its "
+            "entries");
+      }
+      entries_before_active = next_seq;
+    }
+    ++chunk;
+    return Status::Ok();
+  }));
+  segments->AdoptActiveState(
+      static_cast<std::uint32_t>(next_seq - entries_before_active), prev);
+
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
-  segments_.reset();
+  segments_ = std::move(segments);
   entries_.assign(std::make_move_iterator(loaded.begin()),
                   std::make_move_iterator(loaded.end()));
   total_ = next_seq;
   tail_ = prev;
   window_prev_ = crypto::Sha256Digest{};
-  store_ = store;
-  inode_ = inode;
   TrimWindowLocked();
   return Status::Ok();
 }
@@ -201,15 +174,8 @@ void ProcessingLog::CommitEntryLocked(LogEntry entry, Bytes& encoded) {
 
 void ProcessingLog::DurableAppendLocked(const Bytes& encoded,
                                         std::uint32_t entry_count) {
-  if (encoded.empty()) return;
-  Status appended = Status::Ok();
-  if (segments_ != nullptr) {
-    appended = segments_->AppendBatch(encoded, entry_count, tail_);
-  } else if (store_ != nullptr) {
-    appended = store_->Append(inode_, encoded);
-  } else {
-    return;
-  }
+  if (encoded.empty() || segments_ == nullptr) return;
+  const Status appended = segments_->AppendBatch(encoded, entry_count, tail_);
   // An IO failure here is deliberately loud: silently losing audit
   // history would defeat the log.
   if (!appended.ok()) {

@@ -6,19 +6,13 @@
 // or truncation: each entry's digest covers its content and the previous
 // digest.
 //
-// Durability comes in two shapes:
-//
-//   * Legacy flat log (AttachStore): every append lands on one inode as
-//     a raw entry stream. Simple, but the whole history must be decoded
-//     on every reload and held in memory forever.
-//   * Segmented log (AttachSegmentedStore): appends go to an
-//     auditlog::SegmentedLog — compressed, CRC'd, chain-bound sealed
-//     segments behind a manifest. In-memory the log keeps only a bounded
-//     HOT WINDOW (SetHotWindow) of recent entries; older history lives
-//     in the sealed segments and is consulted on demand (ForRecord /
-//     ForSubject / ForEach fall back to a durable scan when the window
-//     has trimmed). LoadFromStore auto-detects which format an inode
-//     holds, so remounts of old images keep working.
+// Durability: AttachSegmentedStore / LoadFromStore back the log with an
+// auditlog::SegmentedLog — compressed, CRC'd, chain-bound sealed
+// segments behind a manifest. In memory the log keeps only a bounded
+// HOT WINDOW (SetHotWindow) of recent entries; older history lives in
+// the sealed segments and is consulted on demand (ForRecord / ForSubject
+// / ForEach fall back to a durable scan when the window has trimmed).
+// A log with no store attached is memory-only.
 //
 // Thread-safety: the entry window, hash chain and durable append
 // serialise on one lock at rank kCoreLog (just below the
@@ -79,30 +73,20 @@ class ProcessingLog {
  public:
   explicit ProcessingLog(const Clock* clock) : clock_(clock) {}
 
-  /// Make the log durable in the LEGACY flat format: every Append is
-  /// also written to `inode` on `store` (the DBFS store — the log names
-  /// subjects and purposes, so it must NOT live on the generally-
-  /// readable NPD filesystem).
-  void AttachStore(inodefs::InodeStore* store, inodefs::InodeId inode) {
-    store_ = store;
-    inode_ = inode;
-    segments_.reset();
-  }
-
-  /// Make the log durable in the SEGMENTED format: `manifest_inode`
-  /// (caller-allocated, empty) becomes the manifest of a fresh
-  /// auditlog::SegmentedLog. Use LoadFromStore instead when the inode
-  /// already holds data.
+  /// Make the log durable: `manifest_inode` (caller-allocated, empty, on
+  /// the DBFS store — the log names subjects and purposes, so it must NOT
+  /// live on the generally-readable NPD filesystem) becomes the manifest
+  /// of a fresh auditlog::SegmentedLog. Use LoadFromStore instead when
+  /// the inode already holds data.
   Status AttachSegmentedStore(inodefs::InodeStore* store,
                               inodefs::InodeId manifest_inode,
                               const auditlog::SegmentedLogOptions& options = {});
 
-  /// Reload a persisted log, verifying the hash chain entry by entry;
-  /// fails with kCorruption on any tampering or truncation-in-the-middle.
-  /// Auto-detects the on-store format: a segmented manifest is mounted
-  /// (sealed segments CRC- and chain-verified) and later appends stay
-  /// segmented; a legacy flat stream is decoded in place and later
-  /// appends stay flat.
+  /// Reload a persisted log: mount the segmented manifest in `inode`
+  /// (sealed segments CRC- and chain-verified), then verify the hash
+  /// chain entry by entry; later appends continue it. Fails with
+  /// kCorruption on any tampering or truncation-in-the-middle, and when
+  /// `inode` holds anything but a valid manifest.
   Status LoadFromStore(inodefs::InodeStore* store, inodefs::InodeId inode,
                        const auditlog::SegmentedLogOptions& options = {});
 
@@ -135,14 +119,9 @@ class ProcessingLog {
 
   /// Bound the in-memory window to the newest `n` entries (0 =
   /// unbounded). Trimmed entries remain durable and reachable through
-  /// the queries below when a segmented store is attached.
+  /// the queries below when a store is attached.
   void SetHotWindow(std::size_t n);
   [[nodiscard]] std::size_t hot_window() const { return hot_window_; }
-  /// True when appends go to a segmented store (trimmed window history
-  /// stays queryable durably).
-  [[nodiscard]] bool segmented_durability() const {
-    return segments_ != nullptr;
-  }
 
   /// Quiescent-time view of the in-memory window (the full log when
   /// nothing has been trimmed), oldest first. Not safe while other
@@ -161,7 +140,7 @@ class ProcessingLog {
   [[nodiscard]] std::vector<LogEntry> ForSubject(
       dbfs::SubjectId subject) const;
   /// Visit every entry in sequence order — durable history first when a
-  /// segmented store is attached (regulator export path). The visitor
+  /// store is attached (regulator export path). The visitor
   /// runs under the log lock; it must not re-enter the log.
   Status ForEach(const std::function<void(const LogEntry&)>& fn) const;
 
@@ -169,7 +148,7 @@ class ProcessingLog {
   /// the digest of the last trimmed entry); false if altered.
   [[nodiscard]] bool VerifyChain() const;
   /// Decode + chain-verify the ENTIRE durable log (sealed segments +
-  /// active tail). Ok when no segmented store is attached.
+  /// active tail). Ok when no store is attached.
   [[nodiscard]] Status VerifyDurableChain() const;
 
   /// Force-seal the active segment (tests, clean shutdown).
@@ -207,9 +186,7 @@ class ProcessingLog {
   /// Chain digest of the newest committed entry.
   crypto::Sha256Digest tail_{};
 
-  inodefs::InodeStore* store_ = nullptr;  // borrowed; null = memory-only
-  inodefs::InodeId inode_ = inodefs::kInvalidInode;
-  /// Non-null = segmented durability (store_/inode_ then unused).
+  /// Durable backing; null = memory-only.
   std::unique_ptr<auditlog::SegmentedLog> segments_;
 };
 

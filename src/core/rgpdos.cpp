@@ -77,15 +77,13 @@ Result<RgpdOs::StoreStack> RgpdOs::BuildStack(const BootConfig& config,
     // can be served from RAM.
     RGPD_ASSIGN_OR_RETURN(
         stack.store,
-        inodefs::InodeStore::Mount(dev, clock, lock_rank, config.io_retry,
-                                   config.journal_extents));
+        inodefs::InodeStore::Mount(dev, clock, lock_rank, config.io_retry));
   } else {
     inodefs::InodeStore::Options options;
     options.inode_count = config.inode_count;
     options.journal_blocks = config.journal_blocks;
     options.io_retry = config.io_retry;
     options.lock_rank = lock_rank;
-    options.journal_extents = config.journal_extents;
     RGPD_ASSIGN_OR_RETURN(
         stack.store, inodefs::InodeStore::Format(dev, options, clock));
   }
@@ -137,18 +135,8 @@ Result<std::unique_ptr<RgpdOs>> RgpdOs::Boot(const BootConfig& boot_config) {
       EnvU64("RGPDOS_RING_DEPTH", config.ring_depth));
   if (config.ring_depth == 0) config.async_io = false;
   if (!config.async_io) config.latency.queue_depth = 1;
-  // RGPDOS_EXTENTS=0 reverts the PD journals to whole-block records.
-  if (EnvU64("RGPDOS_EXTENTS", config.journal_extents ? 1 : 0) == 0) {
-    config.journal_extents = false;
-  }
-  // RGPDOS_AUDIT_DURABLE=0 is the durable-audit kill switch: in-memory
-  // audit ring only and the legacy flat processing log, exactly the
-  // pre-pipeline behaviour. The remaining RGPDOS_AUDIT_* knobs tune the
-  // pipeline without a rebuild (CI runs tiny queues to force
-  // backpressure under tsan).
-  if (EnvU64("RGPDOS_AUDIT_DURABLE", config.audit_durable ? 1 : 0) == 0) {
-    config.audit_durable = false;
-  }
+  // The RGPDOS_AUDIT_* knobs tune the durable audit pipeline without a
+  // rebuild (CI runs tiny queues to force backpressure under tsan).
   config.audit_queue_entries = static_cast<std::size_t>(
       EnvU64("RGPDOS_AUDIT_QUEUE", config.audit_queue_entries));
   config.audit_backpressure_ms =
@@ -299,45 +287,32 @@ Result<std::unique_ptr<RgpdOs>> RgpdOs::Boot(const BootConfig& boot_config) {
     const inodefs::InodeId log_inode = os->dbfs_->processing_log_inode();
     auditlog::SegmentedLogOptions log_segments;
     log_segments.segment_bytes = config.audit_segment_bytes;
-    log_segments.compress = config.audit_compress;
     RGPD_ASSIGN_OR_RETURN(Bytes log_raw, log_store->ReadAll(log_inode));
     if (!log_raw.empty()) {
       // Attach-mode boot over a populated image: RELOAD the persisted
       // log (chain-verified) so appends continue the chain instead of
       // restarting at seq 0 on top of the old entries, which would
-      // corrupt the durable chain. Auto-detects segmented vs legacy
-      // flat format.
+      // corrupt the durable chain.
       RGPD_RETURN_IF_ERROR(
           os->log_->LoadFromStore(log_store, log_inode, log_segments));
-    } else if (config.audit_durable) {
+    } else {
       RGPD_RETURN_IF_ERROR(os->log_->AttachSegmentedStore(
           log_store, log_inode, log_segments));
-    } else {
-      os->log_->AttachStore(log_store, log_inode);
     }
-    if (config.audit_durable && os->log_->segmented_durability()) {
-      // Bound the in-memory window only when trimmed history stays
-      // reachable through the sealed segments (a legacy flat log keeps
-      // everything in memory, as before).
-      os->log_->SetHotWindow(config.audit_hot_window);
-    }
+    os->log_->SetHotWindow(config.audit_hot_window);
 
-    // Durable audit pipeline on the same store. Skipped when the image
-    // predates the audit manifest inode (4-field master record).
-    const inodefs::InodeId audit_inode = os->dbfs_->audit_manifest_inode();
-    if (config.audit_durable && audit_inode != inodefs::kInvalidInode) {
-      sentinel::AuditPipelineOptions audit_options;
-      audit_options.queue_capacity = config.audit_queue_entries;
-      audit_options.batch_entries = config.audit_batch_entries;
-      audit_options.backpressure_deadline_micros =
-          config.audit_backpressure_ms * 1000;
-      audit_options.segments = log_segments;
-      RGPD_ASSIGN_OR_RETURN(
-          os->audit_pipeline_,
-          sentinel::DurableAuditPipeline::Create(log_store, audit_inode,
-                                                 audit_options));
-      os->audit_.AttachPipeline(os->audit_pipeline_.get());
-    }
+    // Durable audit pipeline on the same store.
+    sentinel::AuditPipelineOptions audit_options;
+    audit_options.queue_capacity = config.audit_queue_entries;
+    audit_options.batch_entries = config.audit_batch_entries;
+    audit_options.backpressure_deadline_micros =
+        config.audit_backpressure_ms * 1000;
+    audit_options.segments = log_segments;
+    RGPD_ASSIGN_OR_RETURN(
+        os->audit_pipeline_,
+        sentinel::DurableAuditPipeline::Create(
+            log_store, os->dbfs_->audit_manifest_inode(), audit_options));
+    os->audit_.AttachPipeline(os->audit_pipeline_.get());
   }
 
   // DED worker pool. worker_threads == 1 keeps the historical inline
@@ -358,7 +333,7 @@ Result<std::unique_ptr<RgpdOs>> RgpdOs::Boot(const BootConfig& boot_config) {
       os->dbfs_.get(), os->sentinel_.get(), os->log_.get(),
       os->clock_.get(), os->executor_.get(), config.cache_decisions);
   os->builtins_ = std::make_unique<Builtins>(os->dbfs_.get(), os->log_.get(),
-                                             os->clock_.get(), &os->rng_);
+                                             &os->rng_);
   os->rights_ = std::make_unique<Rights>(os->dbfs_.get(), os->log_.get(),
                                          os->builtins_.get());
   os->anonymizer_ = std::make_unique<Anonymizer>(

@@ -79,12 +79,10 @@ struct BootConfig {
   /// Submission-ring depth per PD device. 0 disables the ring like
   /// async_io = false. RGPDOS_RING_DEPTH overrides at runtime.
   std::size_t ring_depth = 16;
-  /// Physiological (extent) journaling on the PD stores: journal only
-  /// the dirty byte ranges of each block instead of whole images.
-  /// Replay understands both formats, so flipping this between boots of
-  /// the same image is safe. RGPDOS_EXTENTS=0 reverts to whole-block
-  /// records at runtime.
-  bool journal_extents = true;
+  /// Every journal logs only the dirty byte ranges of each block (extent
+  /// records, the only format). A constant, not a knob; it stays a
+  /// member because perfbench's config banner prints it.
+  static constexpr bool journal_extents = true;
   /// Fault injection on the PD devices (crash/torn-write/transient-error
   /// testing). When enabled, each PD raw device is wrapped in a
   /// FaultInjectingBlockDevice (innermost decorator) running `fault_plan`.
@@ -120,11 +118,11 @@ struct BootConfig {
   /// Durable tamper-evident audit pipeline (DESIGN.md §14): every
   /// enforcement decision is hash-chained and persisted to sealed,
   /// compressed segments on shard 0's store by a background writer, and
-  /// the processing log moves to the same segmented format with a
-  /// bounded in-memory hot window. RGPDOS_AUDIT_DURABLE=0 kills it at
-  /// runtime (in-memory ring + legacy flat processing log, the
-  /// historical behaviour).
-  bool audit_durable = true;
+  /// the processing log lives in the same segmented format with a
+  /// bounded in-memory hot window. Always on: a constant, not a knob,
+  /// kept as a member for perfbench's config banner like
+  /// journal_extents.
+  static constexpr bool audit_durable = true;
   /// Producer-side bounded queue in front of the audit writer thread.
   /// When full, producers BLOCK (backpressure) up to
   /// audit_backpressure_ms before the entry is counted dropped.
@@ -138,12 +136,9 @@ struct BootConfig {
   /// Seal threshold for audit/processing-log segments (raw bytes).
   /// RGPDOS_AUDIT_SEGMENT_BYTES overrides.
   std::uint64_t audit_segment_bytes = 256 * 1024;
-  /// LZ-compress sealed segments (raw kept when compression doesn't
-  /// shrink).
-  bool audit_compress = true;
-  /// Bounded in-memory window of the processing log when segmented
-  /// durability is on (0 = unbounded). Trimmed history stays durable
-  /// and queryable. RGPDOS_AUDIT_HOT_WINDOW overrides.
+  /// Bounded in-memory window of the processing log (0 = unbounded).
+  /// Trimmed history stays durable and queryable.
+  /// RGPDOS_AUDIT_HOT_WINDOW overrides.
   std::size_t audit_hot_window = 65536;
   /// Attach an existing DBFS image instead of formatting a fresh
   /// in-memory one: Boot mounts the device (replaying its journal — the
@@ -191,8 +186,7 @@ class RgpdOs {
   [[nodiscard]] RetentionSweeper& retention() { return *retention_; }
   [[nodiscard]] sentinel::Sentinel& sentinel() { return *sentinel_; }
   [[nodiscard]] sentinel::AuditSink& audit() { return audit_; }
-  /// Non-null iff booted with audit_durable (and RGPDOS_AUDIT_DURABLE
-  /// didn't kill it) on an image that carries an audit manifest inode.
+  /// Non-null after every successful Boot.
   [[nodiscard]] sentinel::DurableAuditPipeline* audit_pipeline() {
     return audit_pipeline_.get();
   }

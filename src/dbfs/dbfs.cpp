@@ -102,10 +102,9 @@ Result<std::unique_ptr<Dbfs>> Dbfs::Mount(
   RGPD_ASSIGN_OR_RETURN(fs->subjects_map_inode_, master.GetU32());
   RGPD_ASSIGN_OR_RETURN(fs->format_hint_inode_, master.GetU32());
   RGPD_ASSIGN_OR_RETURN(fs->processing_log_inode_, master.GetU32());
-  // Images formatted before the durable audit pipeline carry a 4-field
-  // master record; they mount fine, just with no audit manifest.
+  RGPD_ASSIGN_OR_RETURN(fs->audit_manifest_inode_, master.GetU32());
   if (!master.exhausted()) {
-    RGPD_ASSIGN_OR_RETURN(fs->audit_manifest_inode_, master.GetU32());
+    return Corruption("DBFS master record has trailing bytes");
   }
 
   // Format hint: read once per live session (paper §3) to learn the

@@ -185,7 +185,6 @@ class DbfsApi {
 
   /// Inode reserved for the durable audit pipeline's segment manifest
   /// (same confidentiality argument as the processing log).
-  /// kInvalidInode on images formatted before the pipeline existed.
   [[nodiscard]] virtual inodefs::InodeId audit_manifest_inode() const = 0;
 
   // ---- stats ----------------------------------------------------------------
@@ -327,8 +326,7 @@ class Dbfs final : public DbfsApi {
     return processing_log_inode_;
   }
 
-  /// Inode reserved for the durable audit pipeline's segment manifest;
-  /// kInvalidInode on pre-pipeline images.
+  /// Inode reserved for the durable audit pipeline's segment manifest.
   [[nodiscard]] inodefs::InodeId audit_manifest_inode() const override {
     return audit_manifest_inode_;
   }

@@ -114,30 +114,4 @@ Result<TypeDecl> DecodeTypeDecl(ByteSpan bytes) {
   return decl;
 }
 
-Bytes EncodePurposeDecl(const PurposeDecl& decl) {
-  ByteWriter w;
-  w.PutString(decl.name);
-  w.PutString(decl.input_type);
-  w.PutString(decl.input_view);
-  w.PutString(decl.output_type);
-  w.PutString(decl.description);
-  w.PutBool(decl.automated);
-  return w.Take();
-}
-
-Result<PurposeDecl> DecodePurposeDecl(ByteSpan bytes) {
-  ByteReader r(bytes);
-  PurposeDecl decl;
-  RGPD_ASSIGN_OR_RETURN(decl.name, r.GetString());
-  RGPD_ASSIGN_OR_RETURN(decl.input_type, r.GetString());
-  RGPD_ASSIGN_OR_RETURN(decl.input_view, r.GetString());
-  RGPD_ASSIGN_OR_RETURN(decl.output_type, r.GetString());
-  RGPD_ASSIGN_OR_RETURN(decl.description, r.GetString());
-  // Purposes registered before the Art. 22 clause end here.
-  if (r.remaining() > 0) {
-    RGPD_ASSIGN_OR_RETURN(decl.automated, r.GetBool());
-  }
-  return decl;
-}
-
 }  // namespace rgpdos::dsl

@@ -10,7 +10,4 @@ namespace rgpdos::dsl {
 [[nodiscard]] Bytes EncodeTypeDecl(const TypeDecl& decl);
 Result<TypeDecl> DecodeTypeDecl(ByteSpan bytes);
 
-[[nodiscard]] Bytes EncodePurposeDecl(const PurposeDecl& decl);
-Result<PurposeDecl> DecodePurposeDecl(ByteSpan bytes);
-
 }  // namespace rgpdos::dsl

@@ -10,7 +10,7 @@ namespace rgpdos::inodefs {
 InodeStore::InodeStore(blockdev::BlockDevice* device, Superblock sb,
                        const Clock* clock, bool journal_enabled,
                        metrics::LockRank lock_rank,
-                       const RetryPolicy& io_retry, bool journal_extents)
+                       const RetryPolicy& io_retry)
     : device_(device),
       sb_(sb),
       clock_(clock),
@@ -21,7 +21,6 @@ InodeStore::InodeStore(blockdev::BlockDevice* device, Superblock sb,
                          ? "inodefs.store.sensitive"
                          : "inodefs.store") {
   journal_.set_retry_policy(io_retry_);
-  journal_.set_extent_mode(journal_extents);
 }
 
 Status InodeStore::DevRead(BlockIndex index, Bytes& out) const {
@@ -96,7 +95,7 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Format(
 
   std::unique_ptr<InodeStore> store(new InodeStore(
       device, sb, clock, options.journal_enabled, options.lock_rank,
-      options.io_retry, options.journal_extents));
+      options.io_retry));
 
   // Zero metadata regions (bitmap + inode table + journal).
   const Bytes zero(sb.block_size, 0);
@@ -114,8 +113,7 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Format(
 
 Result<std::unique_ptr<InodeStore>> InodeStore::Mount(
     blockdev::BlockDevice* device, const Clock* clock,
-    metrics::LockRank lock_rank, const RetryPolicy& io_retry,
-    bool journal_extents) {
+    metrics::LockRank lock_rank, const RetryPolicy& io_retry) {
   RGPD_METRIC_COUNT("inodefs.recovery.mounts");
   RGPD_METRIC_SCOPED_LATENCY("inodefs.recovery.mount_latency_ns");
   Bytes sb_block;
@@ -129,10 +127,10 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Mount(
 
   std::unique_ptr<InodeStore> store(
       new InodeStore(device, sb, clock, /*journal_enabled=*/true, lock_rank,
-                     io_retry, journal_extents));
+                     io_retry));
 
-  // Recover committed-but-uncheckpointed transactions. Torn / incomplete
-  // transactions never leave the journal, so the in-place image only ever
+  // Recover committed-but-uncheckpointed transactions. Torn or corrupt
+  // records never leave the journal, so the in-place image only ever
   // moves between transaction boundaries.
   std::vector<ReplayedWrite> writes;
   {
@@ -150,7 +148,7 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Mount(
       RGPD_RETURN_IF_ERROR(store->DevFlush());
     }
     // Every transaction the scan found is now either applied in place or
-    // discarded for good (torn/incomplete/stale): advance the watermark
+    // discarded for good (torn/corrupt/stale): advance the watermark
     // and persist it so a crash loop never re-applies or reverts.
     store->sb_.journal_checkpointed_seq = store->sb_.journal_seq;
     if (!writes.empty()) {
@@ -164,10 +162,6 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Mount(
   store->recovery_.replay = store->journal_.last_replay();
   store->recovery_.checkpointed_blocks = writes.size();
   RGPD_METRIC_COUNT_N("inodefs.recovery.replayed_writes", writes.size());
-  RGPD_METRIC_COUNT_N("inodefs.recovery.torn_txns_discarded",
-                      store->recovery_.replay.torn_txns);
-  RGPD_METRIC_COUNT_N("inodefs.recovery.incomplete_txns_discarded",
-                      store->recovery_.replay.incomplete_txns);
   RGPD_METRIC_COUNT_N("inodefs.recovery.corrupt_records",
                       store->recovery_.replay.corrupt_records);
   RGPD_METRIC_COUNT_N("inodefs.recovery.stale_txns_skipped",
@@ -248,11 +242,11 @@ Result<Bytes> InodeStore::Txn::ReadBlock(BlockIndex index) {
   Bytes out;
   RGPD_METRIC_COUNT("inodefs.block.reads");
   RGPD_RETURN_IF_ERROR(store_.ReadBlockCoherent(index, out));
-  // First touch in extent mode: pin the pre-transaction image so Commit
-  // can journal only the dirty ranges. If the image actually came from
+  // First touch: pin the pre-transaction image so Commit can journal
+  // only the dirty ranges. If the image actually came from
   // the group staging buffer, the group's first-wins preimage merge
   // discards this entry in favour of the true on-device one.
-  if (store_.journal_enabled_ && store_.journal_.extent_mode() &&
+  if (store_.journal_enabled_ &&
       preimages_.find(index) == preimages_.end()) {
     preimages_.emplace(index, Preimage{JournalWrite::kBaseDevice, out});
   }
@@ -263,8 +257,7 @@ Status InodeStore::Txn::WriteBlock(BlockIndex index, Bytes data) {
   if (data.size() != store_.sb_.block_size) {
     return InvalidArgument("txn block write must be block-sized");
   }
-  if (store_.journal_enabled_ && store_.journal_.extent_mode() &&
-      !Touched(index)) {
+  if (store_.journal_enabled_ && !Touched(index)) {
     // Blind first write. An all-zero image is the fresh-allocation
     // pattern (MapFileBlock zero-fills, FreeDataBlock scrubs): replaying
     // from a zero base reproduces it exactly and can never resurrect
@@ -371,12 +364,9 @@ void InodeStore::StageGroupWrite(BlockIndex block, const Bytes& data,
   }
   group_write_index_.emplace(block, group_writes_.size());
   group_writes_.emplace_back(block, data);
-  if (journal_.extent_mode()) {
-    group_preimages_.emplace(
-        block, preimage != nullptr
-                   ? *preimage
-                   : Preimage{JournalWrite::kBaseNone, Bytes()});
-  }
+  group_preimages_.emplace(
+      block, preimage != nullptr ? *preimage
+                                 : Preimage{JournalWrite::kBaseNone, Bytes()});
 }
 
 InodeStore::GroupCommitScope::GroupCommitScope(InodeStore& store)
@@ -474,7 +464,7 @@ Status InodeStore::StageBitmapBlock(BlockIndex data_block, Txn& txn) {
   const std::uint64_t bits_per_block = std::uint64_t(sb_.block_size) * 8;
   const std::uint64_t bitmap_block = data_block / bits_per_block;
   const BlockIndex target = sb_.bitmap_start + bitmap_block;
-  if (journal_enabled_ && journal_.extent_mode() && !txn.Touched(target)) {
+  if (journal_enabled_ && !txn.Touched(target)) {
     // The rebuild below writes blind; without a pinned preimage an
     // alloc/free would journal the whole bitmap block every transaction.
     // Read it first so only the flipped bit's byte range gets logged.

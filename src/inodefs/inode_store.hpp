@@ -39,11 +39,6 @@ class InodeStore {
     /// kCrashed is permanent). Applies to every device access the store
     /// or its journal makes. RetryPolicy::None() disables.
     RetryPolicy io_retry;
-    /// Physiological (extent) journaling: transactions log only the
-    /// dirty byte ranges of each block instead of whole images. Replay
-    /// understands both formats, so flipping this on an existing store
-    /// is safe mid-journal.
-    bool journal_extents = true;
   };
 
   /// What Mount()'s journal replay recovered (inodefs.recovery.* metrics
@@ -60,13 +55,12 @@ class InodeStore {
 
   /// Mount an existing device: reads the superblock, replays the journal
   /// (committed transactions are re-applied in place and flushed), and
-  /// fills last_recovery(). Torn or incomplete journal transactions are
+  /// fills last_recovery(). Torn or corrupt journal records are
   /// discarded, never partially applied.
   static Result<std::unique_ptr<InodeStore>> Mount(
       blockdev::BlockDevice* device, const Clock* clock,
       metrics::LockRank lock_rank = metrics::LockRank::kInodefs,
-      const RetryPolicy& io_retry = RetryPolicy{},
-      bool journal_extents = true);
+      const RetryPolicy& io_retry = RetryPolicy{});
 
   /// RAII journal group commit. While a scope is alive the calling
   /// thread owns the store (the scope holds the store mutex — recursion
@@ -158,7 +152,7 @@ class InodeStore {
  private:
   InodeStore(blockdev::BlockDevice* device, Superblock sb, const Clock* clock,
              bool journal_enabled, metrics::LockRank lock_rank,
-             const RetryPolicy& io_retry, bool journal_extents);
+             const RetryPolicy& io_retry);
 
   /// Pre-transaction image of a block, captured at first touch so the
   /// extent encoder can journal only the dirty byte ranges.

@@ -12,18 +12,15 @@ namespace rgpdos::inodefs {
 namespace {
 
 constexpr std::uint32_t kRecordMagic = 0x4C4E524A;  // "JRNL"
-constexpr std::uint8_t kKindData = 1;
-constexpr std::uint8_t kKindCommit = 2;
 /// Self-committing extent transaction: target = block count, payload =
 /// per-block extent groups (see journal.hpp). A valid CRC is the commit.
+/// Kinds 1 and 2 (the retired whole-block format) must not be reused:
+/// old regions may still hold them, and replay counts them corrupt.
 constexpr std::uint8_t kKindExtents = 3;
 
 // magic u32 | seq u64 | kind u8 | target u64 | payload_len u32
 constexpr std::size_t kHeaderSize = 4 + 8 + 1 + 8 + 4;
 constexpr std::size_t kCrcSize = 4;
-// The commit record's payload: u32 count of the transaction's data
-// records. Replay discards commits whose recovered record count differs.
-constexpr std::size_t kCommitPayloadSize = 4;
 
 // Per-block extent-group framing: block u64 | base u8 | extent_count u16.
 constexpr std::size_t kExtentGroupHeader = 8 + 1 + 2;
@@ -70,6 +67,52 @@ std::vector<Extent> DiffExtents(ByteSpan base, ByteSpan data) {
   return extents;
 }
 
+/// One recovered block write: an extent group to reconstruct over its
+/// base.
+struct RecoveredWrite {
+  BlockIndex block = 0;
+  std::uint8_t base = JournalWrite::kBaseZero;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> extents;
+  Bytes data;  ///< the extents' bytes, concatenated
+};
+
+/// Parse the `groups` extent groups of one record's payload. Any framing
+/// violation poisons the whole record (the CRC said the bytes are intact,
+/// so a framing error means a format we do not understand — never guess).
+bool DecodeExtentGroups(ByteSpan payload, std::uint64_t groups,
+                        std::uint32_t block_size,
+                        std::vector<RecoveredWrite>* out) {
+  ByteReader reader(payload);
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    RecoveredWrite write;
+    auto block_index = reader.GetU64();
+    auto base = reader.GetU8();
+    auto extent_count = reader.GetU16();
+    if (!block_index.ok() || !base.ok() || !extent_count.ok() ||
+        *base > JournalWrite::kBaseZero) {
+      return false;
+    }
+    write.block = *block_index;
+    write.base = *base;
+    std::size_t data_bytes = 0;
+    for (std::uint16_t e = 0; e < *extent_count; ++e) {
+      auto off = reader.GetU32();
+      auto len = reader.GetU32();
+      if (!off.ok() || !len.ok() || *len == 0 ||
+          std::uint64_t(*off) + *len > block_size) {
+        return false;
+      }
+      write.extents.emplace_back(*off, *len);
+      data_bytes += *len;
+    }
+    auto data = reader.GetRaw(data_bytes);
+    if (!data.ok()) return false;
+    write.data = std::move(*data);
+    out->push_back(std::move(write));
+  }
+  return true;
+}
+
 metrics::Histogram& BytesPerCommitHistogram() {
   static const std::vector<std::uint64_t> kBounds = {
       64,    128,   256,    512,    1024,   2048,    4096,
@@ -103,134 +146,95 @@ Bytes Journal::BuildRecord(std::uint64_t seq, std::uint8_t kind,
   return image;
 }
 
-Status Journal::WriteRecordImages(const std::vector<Bytes>& images) {
-  // All blocks between two head wraps go out as ONE submission; the
-  // async layer below turns that into a single amortised device batch.
-  std::vector<blockdev::BatchWrite> batch;
-  const auto flush_batch = [&]() -> Status {
-    if (batch.empty()) return Status::Ok();
-    // Journal block writes are idempotent (full images), so the batch
-    // goes out as one submission; if that fails, degrade to per-block
-    // bounded retry — re-running the whole batch on transient-heavy
-    // media would re-trip the fault on every attempt once the batch is
-    // wider than the error period.
-    Status s = device_.WriteBatch(batch);
-    if (!s.ok()) {
-      s = Status::Ok();
-      for (const blockdev::BatchWrite& w : batch) {
-        s = RetryIo(retry_, [&] { return device_.WriteBlock(w.index, w.data); });
-        if (!s.ok()) break;
-      }
-    }
-    batch.clear();
-    return s;
-  };
-  for (const Bytes& image : images) {
-    const std::uint64_t blocks_needed = image.size() / sb_.block_size;
-    // Head is a block offset within the region; wrap if the record does
-    // not fit in the tail (old records there are simply overwritten
-    // later). Wrapping starts destroying old records, so the checkpoint
-    // watermark covering them must reach the medium first — and the
-    // records staged so far must land before that barrier.
-    if (sb_.journal_head + blocks_needed > sb_.journal_blocks) {
-      RGPD_RETURN_IF_ERROR(flush_batch());
-      RGPD_RETURN_IF_ERROR(PersistSuperblock());
-      sb_.journal_head = 0;
-    }
-    for (std::uint64_t i = 0; i < blocks_needed; ++i) {
-      batch.push_back(
-          {sb_.journal_start + sb_.journal_head + i,
-           ByteSpan(image.data() + i * sb_.block_size, sb_.block_size)});
-    }
-    sb_.journal_head += blocks_needed;
-    bytes_logged_ += image.size();
+Status Journal::WriteRecord(const Bytes& image) {
+  const std::uint64_t blocks_needed = image.size() / sb_.block_size;
+  // Head is a block offset within the region; wrap if the record does not
+  // fit in the tail (old records there are simply overwritten later).
+  // Wrapping starts destroying old records, so the checkpoint watermark
+  // covering them must reach the medium first.
+  if (sb_.journal_head + blocks_needed > sb_.journal_blocks) {
+    RGPD_RETURN_IF_ERROR(PersistSuperblock());
+    sb_.journal_head = 0;
   }
-  return flush_batch();
+  std::vector<blockdev::BatchWrite> batch;
+  batch.reserve(blocks_needed);
+  for (std::uint64_t i = 0; i < blocks_needed; ++i) {
+    batch.push_back(
+        {sb_.journal_start + sb_.journal_head + i,
+         ByteSpan(image.data() + i * sb_.block_size, sb_.block_size)});
+  }
+  sb_.journal_head += blocks_needed;
+  bytes_logged_ += image.size();
+  // All the record's blocks go out as ONE submission; the async layer
+  // below turns that into a single amortised device batch. Journal block
+  // writes are idempotent (full images), so if the batch fails, degrade
+  // to per-block bounded retry — re-running the whole batch on
+  // transient-heavy media would re-trip the fault on every attempt once
+  // the batch is wider than the error period.
+  if (device_.WriteBatch(batch).ok()) return Status::Ok();
+  for (const blockdev::BatchWrite& w : batch) {
+    RGPD_RETURN_IF_ERROR(
+        RetryIo(retry_, [&] { return device_.WriteBlock(w.index, w.data); }));
+  }
+  return Status::Ok();
 }
 
 Status Journal::AppendTransaction(const std::vector<JournalWrite>& writes) {
   RGPD_METRIC_SCOPED_LATENCY("inodefs.journal.commit_latency_ns");
   const std::uint64_t before = bytes_logged_;
 
-  // Build every payload first so the whole-region guard sees the real
-  // size: a transaction larger than the region would wrap over its OWN
-  // earlier records mid-append and be discarded at replay as incomplete
-  // — silent data loss.
-  std::uint64_t total_blocks = 0;
-  Bytes extent_payload;
-  if (extent_mode_) {
-    ByteWriter w(writes.size() * kExtentGroupHeader);
-    for (const JournalWrite& write : writes) {
-      // Dirty ranges against the declared base; full image when no
-      // preimage is known or when extents would not actually save bytes.
-      Bytes zero_base;
-      std::vector<Extent> extents;
-      bool full = write.base == JournalWrite::kBaseNone;
-      std::uint8_t base = write.base;
-      if (!full) {
-        ByteSpan base_span;
-        if (write.base == JournalWrite::kBaseZero) {
-          zero_base.assign(write.data.size(), 0);
-          base_span = ByteSpan(zero_base.data(), zero_base.size());
-        } else {
-          base_span = ByteSpan(write.preimage.data(), write.preimage.size());
-        }
-        if (base_span.size() != write.data.size()) {
-          full = true;
-        } else {
-          extents = DiffExtents(base_span, write.data);
-          std::size_t encoded = 0;
-          for (const Extent& e : extents) encoded += kExtentHeader + e.len;
-          if (encoded >= kExtentHeader + write.data.size()) full = true;
-        }
+  // Build the whole payload first so the whole-region guard sees the
+  // real record size.
+  ByteWriter w(writes.size() * kExtentGroupHeader);
+  for (const JournalWrite& write : writes) {
+    // Dirty ranges against the declared base; full image when no
+    // preimage is known or when extents would not actually save bytes.
+    Bytes zero_base;
+    std::vector<Extent> extents;
+    bool full = write.base == JournalWrite::kBaseNone;
+    std::uint8_t base = write.base;
+    if (!full) {
+      ByteSpan base_span;
+      if (write.base == JournalWrite::kBaseZero) {
+        zero_base.assign(write.data.size(), 0);
+        base_span = ByteSpan(zero_base.data(), zero_base.size());
+      } else {
+        base_span = ByteSpan(write.preimage.data(), write.preimage.size());
       }
-      if (full) {
-        // One extent covering the whole block; a zero base means replay
-        // never needs to read the device for it.
-        base = JournalWrite::kBaseZero;
-        extents.assign(
-            1, {0, static_cast<std::uint32_t>(write.data.size())});
-      }
-      w.PutU64(write.block);
-      w.PutU8(base);
-      w.PutU16(static_cast<std::uint16_t>(extents.size()));
-      for (const Extent& e : extents) {
-        w.PutU32(e.offset);
-        w.PutU32(e.len);
-      }
-      for (const Extent& e : extents) {
-        w.PutRaw(ByteSpan(write.data.data() + e.offset, e.len));
+      if (base_span.size() != write.data.size()) {
+        full = true;
+      } else {
+        extents = DiffExtents(base_span, write.data);
+        std::size_t encoded = 0;
+        for (const Extent& e : extents) encoded += kExtentHeader + e.len;
+        if (encoded >= kExtentHeader + write.data.size()) full = true;
       }
     }
-    extent_payload = w.Take();
-    total_blocks = RecordBlocks(extent_payload.size());
-  } else {
-    total_blocks = RecordBlocks(kCommitPayloadSize);
-    for (const JournalWrite& write : writes) {
-      total_blocks += RecordBlocks(write.data.size());
+    if (full) {
+      // One extent covering the whole block; a zero base means replay
+      // never needs to read the device for it.
+      base = JournalWrite::kBaseZero;
+      extents.assign(1, {0, static_cast<std::uint32_t>(write.data.size())});
+    }
+    w.PutU64(write.block);
+    w.PutU8(base);
+    w.PutU16(static_cast<std::uint16_t>(extents.size()));
+    for (const Extent& e : extents) {
+      w.PutU32(e.offset);
+      w.PutU32(e.len);
+    }
+    for (const Extent& e : extents) {
+      w.PutRaw(ByteSpan(write.data.data() + e.offset, e.len));
     }
   }
-  if (total_blocks > sb_.journal_blocks) {
+  const Bytes payload = w.Take();
+  if (RecordBlocks(payload.size()) > sb_.journal_blocks) {
     return ResourceExhausted("transaction larger than the journal region");
   }
 
   const std::uint64_t seq = sb_.journal_seq++;
-  std::vector<Bytes> images;
-  if (extent_mode_) {
-    images.push_back(BuildRecord(seq, kKindExtents, writes.size(),
-                                 ByteSpan(extent_payload)));
-  } else {
-    images.reserve(writes.size() + 1);
-    for (const JournalWrite& write : writes) {
-      images.push_back(BuildRecord(seq, kKindData, write.block,
-                                   ByteSpan(write.data)));
-    }
-    ByteWriter commit(kCommitPayloadSize);
-    commit.PutU32(static_cast<std::uint32_t>(writes.size()));
-    images.push_back(
-        BuildRecord(seq, kKindCommit, 0, ByteSpan(commit.buffer())));
-  }
-  RGPD_RETURN_IF_ERROR(WriteRecordImages(images));
+  RGPD_RETURN_IF_ERROR(WriteRecord(
+      BuildRecord(seq, kKindExtents, writes.size(), ByteSpan(payload))));
   RGPD_METRIC_COUNT("inodefs.journal.commits");
   RGPD_METRIC_COUNT_N("inodefs.journal.bytes", bytes_logged_ - before);
   BytesPerCommitHistogram().Observe(bytes_logged_ - before);
@@ -250,22 +254,11 @@ Status Journal::PersistSuperblock() {
 }
 
 Result<std::vector<ReplayedWrite>> Journal::Replay() {
-  /// One recovered block write: either a whole image (legacy data
-  /// record) or an extent group to reconstruct over its base.
-  struct RecoveredWrite {
-    BlockIndex block = 0;
-    bool whole = false;
-    Bytes data;  ///< whole: full image; extents: concatenated range bytes
-    std::uint8_t base = JournalWrite::kBaseZero;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> extents;
-  };
-  struct PendingTxn {
+  struct RecoveredTxn {
     std::vector<RecoveredWrite> writes;
-    bool committed = false;
-    std::uint64_t expected_writes = 0;  // from the commit record
-    std::uint64_t end_block = 0;  // region-relative block after the commit
+    std::uint64_t end_block = 0;  // region-relative block after the record
   };
-  std::map<std::uint64_t, PendingTxn> txns;
+  std::map<std::uint64_t, RecoveredTxn> txns;
   replay_stats_ = ReplayStats{};
   // Transactions below the persisted watermark are durably in place;
   // re-applying their (older) block images would revert newer in-place
@@ -322,113 +315,35 @@ Result<std::vector<ReplayedWrite>> Journal::Replay() {
     const std::uint32_t computed_crc =
         Crc32(ByteSpan(image.data(), record_size - kCrcSize));
     if (stored_crc != computed_crc) {
-      // A torn extent record dies here: its CRC is its commit, so the
-      // whole transaction vanishes rather than half-applying.
+      // A torn record dies here: its CRC is its commit, so the whole
+      // transaction vanishes rather than half-applying.
       ++replay_stats_.corrupt_records;
       ++offset;
       continue;
     }
 
+    // Intact bytes of a kind we do not write (including the retired
+    // whole-block data/commit records) or with broken framing: count it,
+    // apply nothing.
     const ByteSpan payload(image.data() + kHeaderSize, *payload_len);
-    if (*kind == kKindData) {
-      RecoveredWrite write;
-      write.block = *target;
-      write.whole = true;
-      write.data.assign(payload.begin(), payload.end());
-      txns[*seq].writes.push_back(std::move(write));
-    } else if (*kind == kKindCommit) {
-      if (*payload_len != kCommitPayloadSize) {
-        // Malformed commit (CRC fine but wrong shape): treat as corrupt
-        // rather than guessing a count.
-        ++replay_stats_.corrupt_records;
-        offset += blocks;
-        continue;
-      }
-      ByteReader reader(payload);
-      PendingTxn& txn = txns[*seq];
-      txn.committed = true;
-      txn.expected_writes = *reader.GetU32();
-      txn.end_block = offset + blocks;
-    } else if (*kind == kKindExtents) {
-      // Parse target extent groups; any framing violation poisons the
-      // whole record (the CRC said the bytes are intact, so a framing
-      // error means a format we do not understand — never guess).
-      ByteReader reader(payload);
-      std::vector<RecoveredWrite> writes;
-      bool ok = true;
-      for (std::uint64_t g = 0; ok && g < *target; ++g) {
-        RecoveredWrite write;
-        auto block_index = reader.GetU64();
-        auto base = reader.GetU8();
-        auto extent_count = reader.GetU16();
-        if (!block_index.ok() || !base.ok() || !extent_count.ok() ||
-            *base > JournalWrite::kBaseZero) {
-          ok = false;
-          break;
-        }
-        write.block = *block_index;
-        write.base = *base;
-        std::size_t data_bytes = 0;
-        for (std::uint16_t e = 0; ok && e < *extent_count; ++e) {
-          auto off = reader.GetU32();
-          auto len = reader.GetU32();
-          if (!off.ok() || !len.ok() || *len == 0 ||
-              std::uint64_t(*off) + *len > sb_.block_size) {
-            ok = false;
-            break;
-          }
-          write.extents.emplace_back(*off, *len);
-          data_bytes += *len;
-        }
-        if (!ok) break;
-        auto data = reader.GetRaw(data_bytes);
-        if (!data.ok()) {
-          ok = false;
-          break;
-        }
-        write.data.assign(data->begin(), data->end());
-        writes.push_back(std::move(write));
-      }
-      if (!ok) {
-        ++replay_stats_.corrupt_records;
-        offset += blocks;
-        continue;
-      }
-      PendingTxn& txn = txns[*seq];
-      txn.writes = std::move(writes);
-      txn.committed = true;  // a valid CRC is the commit
-      txn.expected_writes = *target;
-      txn.end_block = offset + blocks;
+    RecoveredTxn txn;
+    if (*kind != kKindExtents ||
+        !DecodeExtentGroups(payload, *target, sb_.block_size, &txn.writes)) {
+      ++replay_stats_.corrupt_records;
+      offset += blocks;
+      continue;
     }
+    txn.end_block = offset + blocks;
+    txns[*seq] = std::move(txn);
     offset += blocks;
   }
 
   std::vector<ReplayedWrite> out;
-  std::uint64_t resume_head = 0;
-  std::uint64_t best_seq = 0;
-  bool any_committed = false;
-  std::uint64_t max_seq = sb_.journal_seq;
   /// Newest reconstructed image per block, so chained transactions on
   /// one block compose: a later extent record bases on its predecessor's
   /// image, not on the (older) on-device state.
   std::map<BlockIndex, Bytes> latest;
   for (auto& [seq, txn] : txns) {
-    max_seq = std::max(max_seq, seq + 1);
-    if (!txn.committed) {
-      // Torn transaction (crash between data records and commit): discard.
-      ++replay_stats_.torn_txns;
-      continue;
-    }
-    // Resume after the NEWEST committed transaction, stale or not. An
-    // older (already checkpointed) transaction can sit at a higher block
-    // offset when the newer one wrapped to the region start; resuming
-    // past the older one would overwrite the newest records while
-    // leaving stale ones in the region.
-    if (!any_committed || seq > best_seq) {
-      best_seq = seq;
-      resume_head = txn.end_block;
-      any_committed = true;
-    }
     if (seq < checkpointed) {
       // Already durably checkpointed — deliberately retained history
       // (the Fig-2 leak experiment), never re-applied. Skipping is safe
@@ -437,38 +352,26 @@ Result<std::vector<ReplayedWrite>> Journal::Replay() {
       ++replay_stats_.stale_txns;
       continue;
     }
-    if (txn.writes.size() != txn.expected_writes) {
-      // Commit present but data records missing — a mid-transaction wrap
-      // overwrote them (or their blocks were torn). Applying the partial
-      // set would surface exactly the partially-applied-transaction state
-      // journaling exists to prevent; discard the whole transaction.
-      ++replay_stats_.incomplete_txns;
-      continue;
-    }
     ++replay_stats_.committed_txns;
     for (RecoveredWrite& w : txn.writes) {
       Bytes reconstructed;
-      if (w.whole) {
-        reconstructed = std::move(w.data);
+      const auto it = latest.find(w.block);
+      if (it != latest.end()) {
+        reconstructed = it->second;
+      } else if (w.base == JournalWrite::kBaseZero) {
+        reconstructed.assign(sb_.block_size, 0);
       } else {
-        const auto it = latest.find(w.block);
-        if (it != latest.end()) {
-          reconstructed = it->second;
-        } else if (w.base == JournalWrite::kBaseZero) {
-          reconstructed.assign(sb_.block_size, 0);
-        } else {
-          RGPD_RETURN_IF_ERROR(RetryIo(retry_, [&] {
-            return device_.ReadBlock(w.block, reconstructed);
-          }));
-        }
-        if (reconstructed.size() != sb_.block_size) {
-          reconstructed.resize(sb_.block_size, 0);
-        }
-        std::size_t pos = 0;
-        for (const auto& [off, len] : w.extents) {
-          std::memcpy(reconstructed.data() + off, w.data.data() + pos, len);
-          pos += len;
-        }
+        RGPD_RETURN_IF_ERROR(RetryIo(retry_, [&] {
+          return device_.ReadBlock(w.block, reconstructed);
+        }));
+      }
+      if (reconstructed.size() != sb_.block_size) {
+        reconstructed.resize(sb_.block_size, 0);
+      }
+      std::size_t pos = 0;
+      for (const auto& [off, len] : w.extents) {
+        std::memcpy(reconstructed.data() + off, w.data.data() + pos, len);
+        pos += len;
       }
       latest[w.block] = reconstructed;
       ReplayedWrite write;
@@ -479,8 +382,16 @@ Result<std::vector<ReplayedWrite>> Journal::Replay() {
     }
   }
   replay_stats_.replayed_writes = out.size();
-  sb_.journal_head = resume_head;
-  sb_.journal_seq = max_seq;
+  // Resume after the NEWEST record, stale or not. An older (already
+  // checkpointed) transaction can sit at a higher block offset when the
+  // newer one wrapped to the region start; resuming past the older one
+  // would overwrite the newest records while leaving stale ones in the
+  // region.
+  sb_.journal_head = 0;
+  if (!txns.empty()) {
+    sb_.journal_head = txns.rbegin()->second.end_block;
+    sb_.journal_seq = std::max(sb_.journal_seq, txns.rbegin()->first + 1);
+  }
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Write-ahead data journal.
 //
-// Every mutation of the filesystem is logged here (full block images,
+// Every mutation of the filesystem is logged here (the changed bytes,
 // data and metadata alike — "data journaling" in ext4 terms) before being
 // written in place, giving crash atomicity. The journal is a circular
 // region of blocks; old records are NOT erased when a transaction
@@ -16,26 +16,18 @@
 // Record format (little-endian, CRC over header+payload):
 //   magic u32 | seq u64 | kind u8 | target u64 | payload_len u32 |
 //   payload | crc u32
-// Legacy (pre-upgrade) transactions are whole-block "physical" records:
-// data records carry the full block image as payload; the commit
-// record's payload is the transaction's data-record count, so Replay can
-// tell a complete transaction from one whose earlier records were
-// overwritten by a mid-transaction wrap (such a commit is discarded as
-// torn).
-//
-// Extent transactions (kind 3, the default since journal_extents) are
-// physiological: ONE self-committing record logs only the modified byte
-// ranges of every block the transaction touched (target = block count; a
-// valid CRC IS the commit — a torn record fails the CRC and the whole
-// transaction is discarded). Per-block payload layout:
+// Every transaction is ONE self-committing extent record (kind 3) that
+// logs only the modified byte ranges of every block the transaction
+// touched (target = block count; a valid CRC IS the commit — a torn
+// record fails the CRC and the whole transaction is discarded). Per-block
+// payload layout:
 //   block u64 | base u8 (0 = read-modify-write the device block,
 //                        1 = reconstruct from a zero block)
 //   | extent_count u16 | { offset u32 | len u32 } * extent_count
 //   | extent data bytes (concatenated, in extent order)
 // Replay reconstructs full images in sequence order, chaining same-block
-// transactions through an image map, and replays BOTH formats from one
-// region — a journal written partly before and partly after the upgrade
-// recovers completely.
+// transactions through an image map. A CRC-valid record of any other
+// kind is counted corrupt and never applied.
 #pragma once
 
 #include <utility>
@@ -65,8 +57,6 @@ struct ReplayedWrite {
 ///                 only the non-zero content is journaled.
 ///   kBaseNone   — no preimage known; the full image is journaled as a
 ///                 single extent.
-/// In legacy mode (extent_mode off) the base is ignored and the full
-/// image is logged as a whole-block data record.
 struct JournalWrite {
   static constexpr std::uint8_t kBaseDevice = 0;
   static constexpr std::uint8_t kBaseZero = 1;
@@ -82,13 +72,11 @@ struct JournalWrite {
 /// inodefs.recovery.* metrics and the crash harness read this.
 struct ReplayStats {
   std::uint64_t committed_txns = 0;    ///< applied
-  std::uint64_t torn_txns = 0;         ///< data records without a commit
-  std::uint64_t incomplete_txns = 0;   ///< committed but records missing
-                                       ///< (mid-transaction wrap clobber)
   std::uint64_t stale_txns = 0;        ///< committed but already durably
                                        ///< checkpointed (seq below the
                                        ///< superblock watermark) — skipped
-  std::uint64_t corrupt_records = 0;   ///< bad CRC / truncated record
+  std::uint64_t corrupt_records = 0;   ///< bad CRC, truncated record,
+                                       ///< bad framing or unknown kind
   std::uint64_t replayed_writes = 0;
 };
 
@@ -106,26 +94,20 @@ class Journal {
   /// Transient-IO retry policy for every device access the journal makes.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
-  /// Extent (physiological) logging on/off. Off = the pre-upgrade
-  /// whole-block format; Replay always understands both.
-  void set_extent_mode(bool on) { extent_mode_ = on; }
-  [[nodiscard]] bool extent_mode() const { return extent_mode_; }
-
-  /// Log a whole transaction and flush — one self-committing extent
-  /// record in extent mode, data records + commit record in legacy mode.
-  /// All record blocks go to the device as ONE batched submission (plus
-  /// one per wrap segment), not N serialized writes. Fails with
-  /// ResourceExhausted if the transaction cannot fit in the journal
-  /// region even when empty — committing it anyway would wrap over the
-  /// transaction's own records and guarantee a torn replay.
+  /// Log a whole transaction as one self-committing extent record and
+  /// flush. The record's blocks go to the device as ONE batched
+  /// submission, not N serialized writes.
+  /// Fails with ResourceExhausted if the record cannot fit in the journal
+  /// region even when empty — committing it anyway would wrap over its
+  /// own head and guarantee a torn replay.
   Status AppendTransaction(const std::vector<JournalWrite>& writes);
 
   /// Scan the region for committed transactions; returns their block
   /// writes ordered by (seq, log position). Also repositions the head
-  /// after the HIGHEST-SEQ committed transaction (not the highest block
-  /// offset: after a wrap the newest commit sits at a LOWER offset than
-  /// older, already-checkpointed transactions) so appends resume without
-  /// overwriting the freshest records.
+  /// after the HIGHEST-SEQ record (not the highest block offset: after a
+  /// wrap the newest record sits at a LOWER offset than older, already-
+  /// checkpointed ones) so appends resume without overwriting the
+  /// freshest records.
   Result<std::vector<ReplayedWrite>> Replay();
 
   /// What the last Replay() found. Valid after Replay() returns OK.
@@ -147,9 +129,10 @@ class Journal {
   /// Build the padded on-medium image of one record.
   [[nodiscard]] Bytes BuildRecord(std::uint64_t seq, std::uint8_t kind,
                                   std::uint64_t target, ByteSpan payload) const;
-  /// Write pre-built record images contiguously from the head, batching
-  /// all block writes of each wrap segment into one device submission.
-  Status WriteRecordImages(const std::vector<Bytes>& images);
+  /// Write one pre-built record image at the head (wrapping to the
+  /// region start first if it does not fit in the tail) as one batched
+  /// device submission.
+  Status WriteRecord(const Bytes& image);
   /// Durably persist the superblock (checkpoint watermark included).
   /// Called before the head wraps and before a scrub: both destroy old
   /// records, which is only safe once the medium provably knows they are
@@ -160,7 +143,6 @@ class Journal {
   blockdev::BlockDevice& device_;
   Superblock& sb_;
   RetryPolicy retry_;
-  bool extent_mode_ = false;
   std::uint64_t bytes_logged_ = 0;
   ReplayStats replay_stats_;
 };

@@ -119,8 +119,6 @@ Bytes Membrane::Serialize() const {
   w.PutBool(restricted);
   w.PutString(restriction_reason);
   w.PutU64(version);
-  // Art. 21/22 flags ride at the tail so pre-objection images (which end
-  // at `version`) still decode; see the remaining() guard in Deserialize.
   w.PutVarint(objections.size());
   for (const std::string& purpose : objections) w.PutString(purpose);
   w.PutBool(no_automated_decision);
@@ -167,16 +165,14 @@ Result<Membrane> Membrane::Deserialize(ByteSpan bytes) {
   RGPD_ASSIGN_OR_RETURN(m.restricted, r.GetBool());
   RGPD_ASSIGN_OR_RETURN(m.restriction_reason, r.GetString());
   RGPD_ASSIGN_OR_RETURN(m.version, r.GetU64());
-  // Membranes serialized before the Art. 21/22 fields end here; decode
-  // them as "no objections, no opt-out" rather than rejecting the image.
-  if (r.remaining() > 0) {
-    RGPD_ASSIGN_OR_RETURN(std::uint64_t objection_count, r.GetVarint());
-    for (std::uint64_t i = 0; i < objection_count; ++i) {
-      RGPD_ASSIGN_OR_RETURN(std::string purpose, r.GetString());
-      m.objections.insert(std::move(purpose));
-    }
-    RGPD_ASSIGN_OR_RETURN(m.no_automated_decision, r.GetBool());
+  // The Art. 21/22 tail is mandatory: a membrane cut off before it must
+  // not decode as "no objections, no opt-out".
+  RGPD_ASSIGN_OR_RETURN(std::uint64_t objection_count, r.GetVarint());
+  for (std::uint64_t i = 0; i < objection_count; ++i) {
+    RGPD_ASSIGN_OR_RETURN(std::string purpose, r.GetString());
+    m.objections.insert(std::move(purpose));
   }
+  RGPD_ASSIGN_OR_RETURN(m.no_automated_decision, r.GetBool());
   return m;
 }
 

@@ -82,8 +82,18 @@ sentinel::AuditEntry MakeAuditEntry(int i) {
 auditlog::SegmentedLogOptions TinySegments() {
   auditlog::SegmentedLogOptions options;
   options.segment_bytes = 384;
-  options.compress = true;
   return options;
+}
+
+/// Deterministic LCG bytes: incompressible for the LZ codec.
+Bytes NoiseBytes(std::size_t n) {
+  Bytes raw(n);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (auto& byte : raw) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<std::uint8_t>(state >> 56);
+  }
+  return raw;
 }
 
 // ---- LZ codec -------------------------------------------------------------
@@ -104,12 +114,7 @@ TEST(CompressTest, CompressibleRoundTripShrinks) {
 }
 
 TEST(CompressTest, IncompressibleRoundTripsWithBoundedExpansion) {
-  Bytes raw(4096);
-  std::uint64_t state = 0x9E3779B97F4A7C15ull;  // deterministic LCG bytes
-  for (auto& byte : raw) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    byte = static_cast<std::uint8_t>(state >> 56);
-  }
+  const Bytes raw = NoiseBytes(4096);
   const Bytes packed = LzCompress(ByteSpan(raw.data(), raw.size()));
   // Worst case is ~1/128 framing overhead.
   EXPECT_LE(packed.size(), raw.size() + raw.size() / 64 + 16);
@@ -158,16 +163,28 @@ auditlog::SegmentInfo MakeSegmentInfo() {
 }
 
 TEST(SegmentCodecTest, RoundTripsCompressedAndRaw) {
-  std::string payload;
-  for (int i = 0; i < 64; ++i) payload += "entry entry entry ";
-  const ByteSpan raw(reinterpret_cast<const std::uint8_t*>(payload.data()),
-                     payload.size());
-  for (const bool compress : {true, false}) {
+  // Repetitive text compresses; noise does not, so that payload takes
+  // the raw-codec fallback.
+  std::string text;
+  for (int i = 0; i < 64; ++i) text += "entry entry entry ";
+  const Bytes noise = NoiseBytes(512);
+  struct Case {
+    ByteSpan raw;
+    bool compresses;
+  };
+  for (const Case& c :
+       {Case{ByteSpan(reinterpret_cast<const std::uint8_t*>(text.data()),
+                      text.size()),
+             true},
+        Case{ByteSpan(noise.data(), noise.size()), false}}) {
+    const ByteSpan raw = c.raw;
     auditlog::SegmentInfo info = MakeSegmentInfo();
-    info.raw_size = payload.size();
-    const Bytes stored = auditlog::EncodeSealedSegment(info, raw, compress);
-    if (compress) {
-      EXPECT_LT(stored.size(), payload.size());
+    info.raw_size = raw.size();
+    const Bytes stored = auditlog::EncodeSealedSegment(info, raw);
+    if (c.compresses) {
+      EXPECT_LT(stored.size(), raw.size());
+    } else {
+      EXPECT_GT(stored.size(), raw.size());  // header + verbatim payload
     }
     auditlog::SegmentInfo decoded;
     Bytes out;
@@ -190,8 +207,7 @@ TEST(SegmentCodecTest, EveryByteFlipIsDetected) {
   const Bytes stored = auditlog::EncodeSealedSegment(
       info,
       ByteSpan(reinterpret_cast<const std::uint8_t*>(payload.data()),
-               payload.size()),
-      /*compress=*/true);
+               payload.size()));
   for (std::size_t i = 0; i < stored.size(); ++i) {
     Bytes tampered = stored;
     tampered[i] ^= 0x01;
@@ -210,8 +226,7 @@ TEST(SegmentCodecTest, TruncationIsDetected) {
   const Bytes stored = auditlog::EncodeSealedSegment(
       info,
       ByteSpan(reinterpret_cast<const std::uint8_t*>(payload.data()),
-               payload.size()),
-      /*compress=*/false);
+               payload.size()));
   for (const std::size_t keep : {std::size_t{0}, std::size_t{4},
                                  stored.size() / 2, stored.size() - 1}) {
     auditlog::SegmentInfo decoded;
@@ -271,21 +286,6 @@ TEST(SegmentedLogTest, SealsRotatesAndMountsBack) {
                   })
                   .ok());
   EXPECT_EQ(scanned, everything);
-}
-
-TEST(SegmentedLogTest, LooksLikeManifestDistinguishesLegacyStreams) {
-  StoreFixture fx;
-  auto log = auditlog::SegmentedLog::Create(fx.store.get(), fx.manifest,
-                                            TinySegments());
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  auto manifest = fx.store->ReadAll(fx.manifest);
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_TRUE(auditlog::SegmentedLog::LooksLikeManifest(
-      ByteSpan(manifest->data(), manifest->size())));
-  const Bytes flat = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
-  EXPECT_FALSE(auditlog::SegmentedLog::LooksLikeManifest(
-      ByteSpan(flat.data(), flat.size())));
-  EXPECT_FALSE(auditlog::SegmentedLog::LooksLikeManifest(ByteSpan{}));
 }
 
 /// Build a log with sealed segments + a non-empty active tail, then hand
@@ -548,7 +548,6 @@ TEST(ProcessingLogSegmentedTest, ReloadContinuesChainAcrossRemount) {
   core::ProcessingLog log(&fx.clock);
   ASSERT_TRUE(
       log.LoadFromStore(fx.store.get(), fx.manifest, TinySegments()).ok());
-  EXPECT_TRUE(log.segmented_durability());
   EXPECT_EQ(log.total_entries(), 30u);
   AppendLogEntries(log, 30, 10);
   EXPECT_EQ(log.total_entries(), 40u);
@@ -640,6 +639,22 @@ TEST_F(ProcessingLogCorruptionTest, SingleBitFlipInActiveTail) {
   ASSERT_TRUE(fx_.store
                   ->WriteAll(active, ByteSpan(tampered.data(), tampered.size()))
                   .ok());
+  EXPECT_EQ(Reload().code(), StatusCode::kCorruption);
+}
+
+TEST_F(ProcessingLogCorruptionTest, FlatEntryStreamIsNotAManifest) {
+  // Chain-valid entries written straight into the log inode with no
+  // manifest in front of them (the retired flat format) are rejected.
+  core::ProcessingLog memory_only(&fx_.clock);
+  AppendLogEntries(memory_only, 0, 5);
+  Bytes flat;
+  for (const core::LogEntry& entry : memory_only.entries()) {
+    const Bytes encoded = core::ProcessingLog::EncodeEntry(entry);
+    flat.insert(flat.end(), encoded.begin(), encoded.end());
+  }
+  ASSERT_TRUE(
+      fx_.store->WriteAll(fx_.manifest, ByteSpan(flat.data(), flat.size()))
+          .ok());
   EXPECT_EQ(Reload().code(), StatusCode::kCorruption);
 }
 

@@ -381,31 +381,7 @@ purpose purpose2 { input: user; }
 }
 
 
-// ---- TTL scavenger + portability transfer ------------------------------------------
-
-TEST_F(CoreTest, ScavengerErasesOnlyExpiredRecords) {
-  PutUser(1, "expiring", 1990);
-  os_->sim_clock()->Advance(kMicrosPerYear / 2);
-  const dbfs::RecordId fresh = PutUser(2, "fresh", 1991);
-  // Advance so subject 1's record (age: 1Y) expires but subject 2's
-  // half-year-old record does not.
-  os_->sim_clock()->Advance(kMicrosPerYear / 2 + 1);
-
-  auto scavenged =
-      os_->builtins().ScavengeExpired(os_->authority().public_key());
-  ASSERT_TRUE(scavenged.ok()) << scavenged.status().ToString();
-  EXPECT_EQ(*scavenged, 1u);
-  EXPECT_FALSE(os_->dbfs().Get(kDed, fresh)->erased);
-  // Expired plaintext is gone from every shard's device.
-  for (std::size_t s = 0; s < os_->shard_count(); ++s) {
-    EXPECT_EQ(blockdev::CountBlocksContaining(os_->dbfs_device(s),
-                                              ToBytes("expiring")),
-              0u);
-  }
-  // Idempotent.
-  EXPECT_EQ(*os_->builtins().ScavengeExpired(os_->authority().public_key()),
-            0u);
-}
+// ---- portability transfer ----------------------------------------------------------
 
 TEST_F(CoreTest, PortabilityTransfersToAnotherOperator) {
   PutUser(9, "mover", 1980);
@@ -774,20 +750,11 @@ TEST_F(CoreTest, TamperedPersistedLogFailsToLoad) {
   PutUser(1, "a", 1990);
   ASSERT_TRUE(os_->RightToBeForgotten(1).ok());
   const inodefs::InodeId inode = os_->dbfs().processing_log_inode();
-  // Find where the raw entries live. Segmented (the default): the
-  // manifest in `inode` points at an active-segment inode. Legacy
-  // (RGPDOS_AUDIT_DURABLE=0): `inode` holds the flat stream itself.
-  // Either way, flip a byte in the middle of the persisted entries.
-  inodefs::InodeId active = inode;
-  auto manifest = os_->dbfs_store().ReadAll(inode);
-  ASSERT_TRUE(manifest.ok());
-  if (auditlog::SegmentedLog::LooksLikeManifest(
-          ByteSpan(manifest->data(), manifest->size()))) {
-    auto segments =
-        auditlog::SegmentedLog::Mount(&os_->dbfs_store(), inode, {});
-    ASSERT_TRUE(segments.ok()) << segments.status().ToString();
-    active = (*segments)->active_inode();
-  }
+  // The manifest in `inode` points at the active-segment inode holding
+  // the raw entries: flip a byte in the middle of them.
+  auto segments = auditlog::SegmentedLog::Mount(&os_->dbfs_store(), inode, {});
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  const inodefs::InodeId active = (*segments)->active_inode();
   auto raw = os_->dbfs_store().ReadAll(active);
   ASSERT_TRUE(raw.ok());
   ASSERT_GT(raw->size(), 40u);

@@ -291,6 +291,23 @@ TEST_F(DbfsTest, MountOnUnformattedStoreFails) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST_F(DbfsTest, MountRejectsFourFieldMasterRecord) {
+  // The master record names exactly five inodes; one cut back to the
+  // four fields that predate the audit manifest must not mount.
+  const inodefs::InodeId master = store_->superblock().root_dir;
+  auto record = store_->ReadAll(master);
+  ASSERT_TRUE(record.ok());
+  ASSERT_EQ(record->size(), 5 * sizeof(std::uint32_t));
+  ASSERT_TRUE(store_
+                  ->WriteAll(master, ByteSpan(record->data(),
+                                              4 * sizeof(std::uint32_t)))
+                  .ok());
+  EXPECT_EQ(Dbfs::Mount(store_.get(), sentinel_.get(), &clock_)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+}
+
 TEST_F(DbfsTest, EveryDenialIsAudited) {
   const std::uint64_t denied_before = audit_.denied_count();
   (void)fs_->Get(kApp, 1);

@@ -417,40 +417,6 @@ TEST(CodecTest, TypeDeclRoundTrip) {
   EXPECT_TRUE(decoded->Validate().ok());
 }
 
-TEST(CodecTest, PurposeDeclRoundTrip) {
-  PurposeDecl purpose;
-  purpose.name = "p";
-  purpose.input_type = "user";
-  purpose.input_view = "v";
-  purpose.output_type = "age";
-  purpose.description = "desc";
-  auto decoded = DecodePurposeDecl(EncodePurposeDecl(purpose));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->name, "p");
-  EXPECT_EQ(decoded->input_view, "v");
-  EXPECT_EQ(decoded->description, "desc");
-  EXPECT_FALSE(decoded->automated);
-  purpose.automated = true;
-  auto redecoded = DecodePurposeDecl(EncodePurposeDecl(purpose));
-  ASSERT_TRUE(redecoded.ok());
-  EXPECT_TRUE(redecoded->automated);
-}
-
-TEST(CodecTest, PurposeDeclLegacyWireWithoutAutomatedFlag) {
-  // A registry written before the `automated` flag existed ends right
-  // after the description. Decoding those bytes must yield automated ==
-  // false, not a corruption error.
-  PurposeDecl purpose;
-  purpose.name = "p";
-  purpose.input_type = "user";
-  Bytes wire = EncodePurposeDecl(purpose);
-  wire.pop_back();  // the trailing automated bool
-  auto decoded = DecodePurposeDecl(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->name, "p");
-  EXPECT_FALSE(decoded->automated);
-}
-
 TEST(CodecTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeTypeDecl(ToBytes("nonsense")).ok());
 }

@@ -347,8 +347,9 @@ TEST_F(InodeStoreTest, FreeInodeChecksRange) {
 // ---- journal regression tests ----------------------------------------------
 //
 // Direct Journal-level scenarios with a tiny 8-block region where the
-// geometry is exact: a 512-byte-payload data record is 2 blocks, a
-// commit record 1 block, so a one-write transaction occupies 3 blocks.
+// geometry is exact: a one-write kBaseNone transaction is one extent
+// record of 25 (header) + 11 (group) + 8 (extent) + 512 (data) + 4 (CRC)
+// = 560 bytes, i.e. 2 blocks; each further full-block write adds 531.
 
 class JournalTest : public ::testing::Test {
  protected:
@@ -370,87 +371,70 @@ TEST_F(JournalTest, WrapResumeHeadTracksHighestSeqCommit) {
   Journal journal(*device_, sb_);
   const BlockIndex x = sb_.data_start;
   const BlockIndex y = sb_.data_start + 1;
-  // A: blocks 0-2, B: blocks 3-5. C's data record fits exactly in 6-7,
-  // but its commit wraps to block 0, clobbering A's data record.
+  // A: blocks 0-1, B: 2-3, C: 4-5. D writes two blocks (3 record blocks),
+  // does not fit in 6-7 and wraps to 0-2, clobbering A and B's head.
   ASSERT_TRUE(journal.AppendTransaction({{x, Block(0xA1), JournalWrite::kBaseNone, {}}}).ok());
   ASSERT_TRUE(journal.AppendTransaction({{y, Block(0xB1), JournalWrite::kBaseNone, {}}}).ok());
   ASSERT_TRUE(journal.AppendTransaction({{x, Block(0xC1), JournalWrite::kBaseNone, {}}}).ok());
-  ASSERT_EQ(sb_.journal_head, 1u);
-
-  auto writes = journal.Replay();
-  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  // A's commit survived (block 2) but its data record did not: discarded
-  // as incomplete. B and C replay in seq order.
-  ASSERT_EQ(writes->size(), 2u);
-  EXPECT_EQ((*writes)[0].block, y);
-  EXPECT_EQ((*writes)[0].data, Block(0xB1));
-  EXPECT_EQ((*writes)[1].block, x);
-  EXPECT_EQ((*writes)[1].data, Block(0xC1));
-  EXPECT_EQ(journal.last_replay().incomplete_txns, 1u);
-  // Regression (resume-head bug): the head must resume after C — the
-  // HIGHEST-SEQ commit, at region block 1 — not after B, whose commit
-  // sits at the higher block offset 6. Resuming at 6 would let the next
-  // append overwrite C while B's stale record stayed replayable.
-  EXPECT_EQ(sb_.journal_head, 1u);
-  EXPECT_EQ(sb_.journal_seq, 3u);
-}
-
-TEST_F(JournalTest, CommittedTxnWithMissingRecordsIsDiscarded) {
-  Journal journal(*device_, sb_);
-  const BlockIndex x = sb_.data_start;
-  // A: three data records + commit = 7 blocks (0-6).
   ASSERT_TRUE(journal
                   .AppendTransaction(
-                      {{x, Block(0xA1), JournalWrite::kBaseNone, {}},
-                       {x + 1, Block(0xA2), JournalWrite::kBaseNone, {}},
-                       {x + 2, Block(0xA3), JournalWrite::kBaseNone, {}}})
+                      {{y, Block(0xD1), JournalWrite::kBaseNone, {}},
+                       {x + 2, Block(0xD2), JournalWrite::kBaseNone, {}}})
                   .ok());
-  // B: 3 blocks, wraps to 0-2 and clobbers A's first record (and the
-  // head of its second).
-  ASSERT_TRUE(journal.AppendTransaction({{x + 3, Block(0xB1), JournalWrite::kBaseNone, {}}}).ok());
+  ASSERT_EQ(sb_.journal_head, 3u);
 
   auto writes = journal.Replay();
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  // Regression (commit-count bug): A's commit record survived with a
-  // valid CRC, but only one of its three data records did. Replaying the
-  // partial set would surface a partially-applied transaction; the whole
-  // of A must be discarded and only B applied.
-  ASSERT_EQ(writes->size(), 1u);
-  EXPECT_EQ((*writes)[0].block, x + 3);
-  EXPECT_EQ((*writes)[0].data, Block(0xB1));
-  EXPECT_EQ(journal.last_replay().incomplete_txns, 1u);
-  EXPECT_EQ(journal.last_replay().committed_txns, 1u);
+  // A and B are gone; C and D replay in seq order.
+  ASSERT_EQ(writes->size(), 3u);
+  EXPECT_EQ((*writes)[0].block, x);
+  EXPECT_EQ((*writes)[0].data, Block(0xC1));
+  EXPECT_EQ((*writes)[1].block, y);
+  EXPECT_EQ((*writes)[1].data, Block(0xD1));
+  EXPECT_EQ((*writes)[2].block, x + 2);
+  EXPECT_EQ((*writes)[2].data, Block(0xD2));
+  EXPECT_EQ(journal.last_replay().committed_txns, 2u);
+  EXPECT_EQ(journal.last_replay().corrupt_records, 0u);
+  // Regression (resume-head bug): the head must resume after D — the
+  // HIGHEST-SEQ record, ending at region block 3 — not after C, whose
+  // record ends at the higher block offset 6. Resuming at 6 would let
+  // the next append overwrite D while C's stale record stayed
+  // replayable.
+  EXPECT_EQ(sb_.journal_head, 3u);
+  EXPECT_EQ(sb_.journal_seq, 4u);
 }
 
 TEST_F(JournalTest, OversizedTransactionIsRefused) {
   Journal journal(*device_, sb_);
   const BlockIndex x = sb_.data_start;
-  // 4 writes = 4*2 + 1 = 9 blocks > the 8-block region: committing this
-  // would wrap over the transaction's own records mid-append.
-  EXPECT_EQ(journal
-                .AppendTransaction(
-                    {{x, Block(1), JournalWrite::kBaseNone, {}},
-                     {x + 1, Block(2), JournalWrite::kBaseNone, {}},
-                     {x + 2, Block(3), JournalWrite::kBaseNone, {}},
-                     {x + 3, Block(4), JournalWrite::kBaseNone, {}}})
-                .code(),
+  // 8 full-block writes = 25 + 8 * 531 + 4 = 4277 bytes = 9 blocks > the
+  // 8-block region: committing this would wrap over the record's own
+  // head mid-append.
+  std::vector<JournalWrite> writes;
+  for (std::uint8_t i = 0; i < 8; ++i) {
+    writes.push_back({x + i, Block(i + 1), JournalWrite::kBaseNone, {}});
+  }
+  EXPECT_EQ(journal.AppendTransaction(writes).code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(journal.bytes_logged(), 0u);
+  // One write fewer (8 blocks) fits exactly.
+  writes.pop_back();
+  EXPECT_TRUE(journal.AppendTransaction(writes).ok());
 }
 
 TEST_F(JournalTest, StaleCheckpointedTxnsAreNotReplayed) {
   Journal journal(*device_, sb_);
   const BlockIndex x = sb_.data_start;
-  // seq 0 writes "old" to X, seq 1 supersedes it with "new"; both were
-  // checkpointed in place (watermark = 2).
+  // seq 0 writes "old" to X (blocks 0-1), seq 1 supersedes it with "new"
+  // (blocks 2-3); both were checkpointed in place (watermark = 2).
   ASSERT_TRUE(journal.AppendTransaction({{x, Block(0x0D), JournalWrite::kBaseNone, {}}}).ok());
   ASSERT_TRUE(journal.AppendTransaction({{x, Block(0x9E), JournalWrite::kBaseNone, {}}}).ok());
   ASSERT_TRUE(device_->WriteBlock(x, Block(0x9E)).ok());
   sb_.journal_checkpointed_seq = 2;
-  // Destroy seq 1's records (an interrupted scrub or a later wrap): only
+  // Destroy seq 1's record (an interrupted scrub or a later wrap): only
   // the STALE seq-0 transaction survives in the region.
   const Bytes zero(512, 0);
-  for (std::uint64_t b = 3; b < 6; ++b) {
+  for (std::uint64_t b = 2; b < 4; ++b) {
     ASSERT_TRUE(device_->WriteBlock(sb_.journal_start + b, zero).ok());
   }
 
@@ -492,7 +476,6 @@ Bytes CraftRecord(const Superblock& sb, std::uint64_t seq, std::uint8_t kind,
 
 TEST_F(JournalTest, ExtentRecordLogsOnlyDirtyRanges) {
   Journal journal(*device_, sb_);
-  journal.set_extent_mode(true);
   const BlockIndex x = sb_.data_start;
   // The device holds the preimage; the transaction changes 4 bytes.
   Bytes preimage = Block(0x55);
@@ -504,7 +487,7 @@ TEST_F(JournalTest, ExtentRecordLogsOnlyDirtyRanges) {
                       {{x, after, JournalWrite::kBaseDevice, preimage}})
                   .ok());
   // A 4-byte dirty run journals one block (header + one tiny extent),
-  // not the 3 blocks (2 data + commit) the whole-block format needs.
+  // not the 2 blocks a full-image extent needs.
   EXPECT_EQ(journal.bytes_logged(), 512u);
 
   auto writes = journal.Replay();
@@ -516,41 +499,8 @@ TEST_F(JournalTest, ExtentRecordLogsOnlyDirtyRanges) {
   EXPECT_EQ(journal.last_replay().committed_txns, 1u);
 }
 
-TEST_F(JournalTest, MixedLegacyAndExtentRegionReplaysBoth) {
-  Journal journal(*device_, sb_);
-  const BlockIndex x = sb_.data_start;
-  const BlockIndex y = sb_.data_start + 1;
-  // Pre-upgrade whole-block transaction...
-  ASSERT_TRUE(journal.AppendTransaction({{x, Block(0xA1), JournalWrite::kBaseNone, {}}}).ok());
-  // ...then the store is remounted with extents on; the region now holds
-  // both formats. The second txn chains on the FIRST's image of x (the
-  // journal, not the device, is the base once a replayed image exists).
-  journal.set_extent_mode(true);
-  Bytes x2 = Block(0xA1);
-  x2[7] = 0x77;
-  ASSERT_TRUE(journal
-                  .AppendTransaction(
-                      {{x, x2, JournalWrite::kBaseDevice, Block(0xA1)},
-                       {y, Block(0xB2), JournalWrite::kBaseZero, {}}})
-                  .ok());
-
-  auto writes = journal.Replay();
-  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  ASSERT_EQ(writes->size(), 3u);
-  EXPECT_EQ(journal.last_replay().committed_txns, 2u);
-  EXPECT_EQ((*writes)[0].block, x);
-  EXPECT_EQ((*writes)[0].data, Block(0xA1));
-  // The extent txn's image of x chains on the legacy txn's replayed
-  // image, not the (stale) device block.
-  EXPECT_EQ((*writes)[1].block, x);
-  EXPECT_EQ((*writes)[1].data, x2);
-  EXPECT_EQ((*writes)[2].data, Block(0xB2));
-  EXPECT_EQ(journal.last_replay().corrupt_records, 0u);
-}
-
 TEST_F(JournalTest, TornExtentRecordDiscardsWholeTransaction) {
   Journal journal(*device_, sb_);
-  journal.set_extent_mode(true);
   const BlockIndex x = sb_.data_start;
   Bytes a = Block(0);
   a[0] = 1;
@@ -632,6 +582,47 @@ TEST_F(JournalTest, ZeroLengthExtentIsRejected) {
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_TRUE(writes->empty());
   EXPECT_EQ(journal.last_replay().corrupt_records, 1u);
+}
+
+TEST_F(JournalTest, UnknownRecordKindIsCountedCorruptNotApplied) {
+  Journal journal(*device_, sb_);
+  const BlockIndex x = sb_.data_start;
+  Bytes sentinel;
+  ASSERT_TRUE(device_->ReadBlock(x, sentinel).ok());
+  // Two CRC-valid records of kinds the journal never writes: kind 1 (a
+  // whole-block data record of the retired format: target = block,
+  // payload = full image) and kind 9, carrying a well-formed extent
+  // group — so only the kind can be what rejects it.
+  ByteWriter group(32);
+  group.PutU64(x);
+  group.PutU8(JournalWrite::kBaseZero);
+  group.PutU16(1);
+  group.PutU32(0);
+  group.PutU32(4);
+  group.PutRaw(ByteSpan(Bytes(4, 0xEE).data(), 4));
+  Bytes region = CraftRecord(sb_, /*seq=*/0, /*kind=*/1, /*target=*/x,
+                             Block(0xA1));
+  const Bytes unknown =
+      CraftRecord(sb_, /*seq=*/1, /*kind=*/9, /*target=*/1, group.Take());
+  region.insert(region.end(), unknown.begin(), unknown.end());
+  for (std::size_t i = 0; i * sb_.block_size < region.size(); ++i) {
+    ASSERT_TRUE(device_
+                    ->WriteBlock(sb_.journal_start + i,
+                                 Bytes(region.begin() + i * sb_.block_size,
+                                       region.begin() +
+                                           (i + 1) * sb_.block_size))
+                    .ok());
+  }
+  sb_.journal_seq = 2;
+
+  auto writes = journal.Replay();
+  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
+  EXPECT_TRUE(writes->empty());
+  EXPECT_EQ(journal.last_replay().corrupt_records, 2u);
+  EXPECT_EQ(journal.last_replay().committed_txns, 0u);
+  Bytes now;
+  ASSERT_TRUE(device_->ReadBlock(x, now).ok());
+  EXPECT_EQ(now, sentinel);
 }
 
 TEST_F(JournalTest, SuperblockSurvivesTornWrite) {

@@ -207,18 +207,19 @@ TEST(MembraneTest, SerializationRoundTripWithObjections) {
 }
 
 TEST(MembraneTest, LegacyWireWithoutObjectionFieldsDecodes) {
-  // Membranes persisted before the objection fields end right after the
-  // version: decoding them must succeed with no objections and the
-  // automated-decision bit clear (trailing-field back-compat).
-  const Membrane m = MakeMembrane();
-  Bytes wire = m.Serialize();
+  // A membrane cut off right after the version (the pre-objection wire)
+  // must be rejected: reading it as "no objections, no opt-out" would
+  // fail open on exactly the Art. 21/22 state that got lost.
+  Bytes wire = MakeMembrane().Serialize();
   // Current tail = varint(0) objection count + 1 bool byte.
   wire.resize(wire.size() - 2);
-  auto decoded = Membrane::Deserialize(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, m);
-  EXPECT_TRUE(decoded->objections.empty());
-  EXPECT_FALSE(decoded->no_automated_decision);
+  EXPECT_EQ(Membrane::Deserialize(wire).status().code(),
+            StatusCode::kCorruption);
+  // Losing only the opt-out byte is just as fatal.
+  wire = MakeMembrane().Serialize();
+  wire.pop_back();
+  EXPECT_EQ(Membrane::Deserialize(wire).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(MembraneTest, SerializationRoundTrip) {

@@ -75,14 +75,6 @@ class CrashRecoveryHarness {
     std::size_t shards = 1;
     /// Which shard's medium carries the fault plan in sharded mode.
     std::size_t faulted_shard = 0;
-    /// Journal format for every mount of the image (extent/physiological
-    /// vs legacy whole-block records).
-    bool journal_extents = true;
-    /// Format the image with LEGACY whole-block records, then run the
-    /// workload (and every crash remount) with extents on: the circular
-    /// region is never scrubbed in between, so the sweep replays a
-    /// journal holding BOTH formats at every crash point.
-    bool mixed_journal_formats = false;
   };
 
   CrashRecoveryHarness() = default;
@@ -215,19 +207,13 @@ type note {
         inodefs::InodeStore::Options store_options;
         store_options.inode_count = options_.inode_count;
         store_options.journal_blocks = options_.journal_blocks;
-        store_options.journal_extents =
-            options_.mixed_journal_formats ? false : options_.journal_extents;
         RGPD_ASSIGN_OR_RETURN(
             auto store,
             inodefs::InodeStore::Format(dev, store_options, &clock_));
         out.stores.push_back(std::move(store));
       } else {
-        RGPD_ASSIGN_OR_RETURN(
-            auto store,
-            inodefs::InodeStore::Mount(dev, &clock_,
-                                       metrics::LockRank::kInodefs,
-                                       inodefs::RetryPolicy{},
-                                       options_.journal_extents));
+        RGPD_ASSIGN_OR_RETURN(auto store,
+                              inodefs::InodeStore::Mount(dev, &clock_));
         out.stores.push_back(std::move(store));
       }
     }

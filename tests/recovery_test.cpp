@@ -83,32 +83,6 @@ TEST(CrashRecovery, EveryWriteIndexWriteBackCrash) {
   SweepEveryWriteIndex("writeback", base);
 }
 
-// Journal-format matrix. The default sweeps above run the extent
-// (physiological) format; these pin the legacy whole-block format and
-// the upgrade case — an image formatted with legacy records and
-// remounted with extents on, so EVERY crash point replays a region
-// holding both formats (the circular region is never scrubbed at the
-// flip).
-TEST(CrashRecovery, EveryWriteIndexCleanCrashLegacyJournal) {
-  CrashRecoveryHarness::Options options;
-  options.journal_extents = false;
-  SweepEveryWriteIndex("legacy_clean", blockdev::FaultPlan{}, options);
-}
-
-TEST(CrashRecovery, EveryWriteIndexCleanCrashMixedJournalFormats) {
-  CrashRecoveryHarness::Options options;
-  options.mixed_journal_formats = true;
-  SweepEveryWriteIndex("mixed_clean", blockdev::FaultPlan{}, options);
-}
-
-TEST(CrashRecovery, EveryWriteIndexTornCrashMixedJournalFormats) {
-  CrashRecoveryHarness::Options options;
-  options.mixed_journal_formats = true;
-  blockdev::FaultPlan base;
-  base.torn_bytes = 97;
-  SweepEveryWriteIndex("mixed_torn", base, options);
-}
-
 // Sharded spine (DESIGN.md §12): the same every-write-index sweep on a
 // 2-shard boot, with the fault plan installed on ONE shard's medium at a
 // time. Subjects 1/3 land on shard 1 and subject 2 on shard 0, so the

@@ -147,6 +147,13 @@ TEST_F(RetentionTest, SweepErasesExpiredFromMediumAndAllCacheLevels) {
   EXPECT_TRUE(os->dbfs().Get(kDed, late).ok());
   EXPECT_TRUE(*PdMediumContains(*os, "PD_TTL_MARKER_KEEPER"));
 
+  // Idempotent: a second full sweep finds nothing left to erase.
+  auto again = os->retention().SweepOnce();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->wrapped);
+  EXPECT_EQ(again->expired, 0u);
+  EXPECT_EQ(again->erased, 0u);
+
   // Each expiry left an audit record and a processing-log entry.
   const auto audited = os->audit().Query([](const sentinel::AuditEntry& e) {
     return e.rule == "retention-ttl";
