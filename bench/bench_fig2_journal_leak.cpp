@@ -7,6 +7,11 @@
 // them through each system's erasure path, then scan the raw device for
 // the per-subject plaintext markers. A subject counts as LEAKED if any
 // marker byte survives anywhere (data region or journal).
+//
+// Exits non-zero when any rgpdOS row leaks a subject (erasure left
+// history behind), or when the tombstone baseline leaks fewer than all
+// of its subjects (the scan no longer finds the plaintext a DB-level
+// delete leaves, so a clean rgpdOS row would prove nothing).
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -25,6 +30,14 @@ std::size_t CountLeakedSubjects(blockdev::BlockDevice& device,
   return leaked;
 }
 
+/// Print one table row and return the leak count.
+std::size_t Row(std::size_t subjects, const char* system,
+                std::size_t leaked) {
+  std::printf("%-10zu %-26s %16zu %13.0f%%\n", subjects, system, leaked,
+              100.0 * double(leaked) / double(subjects));
+  return leaked;
+}
+
 }  // namespace
 
 int main() {
@@ -34,6 +47,7 @@ int main() {
   std::printf("%-10s %-26s %16s %14s\n", "subjects", "system",
               "leaked subjects", "leak rate");
 
+  int failures = 0;
   for (std::size_t subjects : {16u, 64u, 256u}) {
     // Baseline: tombstone delete, no compaction.
     {
@@ -43,10 +57,10 @@ int main() {
           std::abort();
         }
       }
-      const std::size_t leaked = CountLeakedSubjects(*world.device, subjects);
-      std::printf("%-10zu %-26s %16zu %13.0f%%\n", subjects,
-                  "baseline (tombstone)", leaked,
-                  100.0 * double(leaked) / double(subjects));
+      if (Row(subjects, "baseline (tombstone)",
+              CountLeakedSubjects(*world.device, subjects)) != subjects) {
+        ++failures;
+      }
     }
     // Baseline: delete + compaction (the engine's best effort).
     {
@@ -56,10 +70,8 @@ int main() {
           std::abort();
         }
       }
-      const std::size_t leaked = CountLeakedSubjects(*world.device, subjects);
-      std::printf("%-10zu %-26s %16zu %13.0f%%\n", subjects,
-                  "baseline (compacted)", leaked,
-                  100.0 * double(leaked) / double(subjects));
+      Row(subjects, "baseline (compacted)",
+          CountLeakedSubjects(*world.device, subjects));
     }
     // rgpdOS: crypto-erasure (right to be forgotten).
     {
@@ -67,11 +79,10 @@ int main() {
       for (std::size_t s = 1; s <= subjects; ++s) {
         if (!world.os->RightToBeForgotten(s).ok()) std::abort();
       }
-      const std::size_t leaked =
-          CountLeakedSubjects(world.os->dbfs_device(), subjects);
-      std::printf("%-10zu %-26s %16zu %13.0f%%\n", subjects,
-                  "rgpdOS (crypto-erase)", leaked,
-                  100.0 * double(leaked) / double(subjects));
+      if (Row(subjects, "rgpdOS (crypto-erase)",
+              CountLeakedSubjects(world.os->dbfs_device(), subjects)) != 0) {
+        ++failures;
+      }
     }
     // rgpdOS: hard delete.
     {
@@ -81,15 +92,22 @@ int main() {
           std::abort();
         }
       }
-      const std::size_t leaked =
-          CountLeakedSubjects(world.os->dbfs_device(), subjects);
-      std::printf("%-10zu %-26s %16zu %13.0f%%\n", subjects,
-                  "rgpdOS (hard delete)", leaked,
-                  100.0 * double(leaked) / double(subjects));
+      if (Row(subjects, "rgpdOS (hard delete)",
+              CountLeakedSubjects(world.os->dbfs_device(), subjects)) != 0) {
+        ++failures;
+      }
     }
   }
   std::printf(
       "\nexpected shape: baseline leaks ~100%% of deleted subjects "
       "through freed blocks / journal; rgpdOS leaks none.\n");
+  if (failures != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %d row(s) off the expected shape (an rgpdOS row "
+                 "leaked, or the tombstone baseline leaked less than "
+                 "100%%)\n",
+                 failures);
+    return 1;
+  }
   return 0;
 }

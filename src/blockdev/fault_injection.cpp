@@ -116,6 +116,32 @@ Status FaultInjectingBlockDevice::WriteBlock(BlockIndex index,
     return Crashed("device crashed: write rejected");
   }
   const std::uint64_t write_index = ++stats_.writes_seen;
+
+  // The crash point is checked before the transient-error schedule: a
+  // power loss preempts a bus error, so a plan's crash fires at its
+  // write index even when that write is also due a transient error
+  // (otherwise the retry would be write N+1 and the crash would never
+  // fire at all).
+  if (plan_.crash_at_write != 0 && write_index == plan_.crash_at_write) {
+    // Power loss mid-write: the first torn_bytes of the sector made it to
+    // the platter (bypassing the dying disk cache), the rest did not.
+    const std::uint32_t keep =
+        std::min<std::uint32_t>(plan_.torn_bytes,
+                                static_cast<std::uint32_t>(data.size()));
+    if (keep > 0) {
+      Bytes merged;
+      Status read = inner_->ReadBlock(index, merged);
+      if (read.ok()) {
+        std::copy(data.begin(), data.begin() + keep, merged.begin());
+        (void)inner_->WriteBlock(index, merged);
+        ++stats_.torn_writes;
+        RGPD_METRIC_COUNT("storage.fault.torn_writes");
+      }
+    }
+    CrashLocked();
+    return Crashed("injected crash at write #" +
+                   std::to_string(write_index));
+  }
   RGPD_RETURN_IF_ERROR(MaybeTransientLocked("write"));
 
   Bytes image(data.begin(), data.end());
@@ -126,27 +152,6 @@ Status FaultInjectingBlockDevice::WriteBlock(BlockIndex index,
     image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     ++stats_.bit_flips;
     RGPD_METRIC_COUNT("storage.fault.bit_flips");
-  }
-
-  if (plan_.crash_at_write != 0 && write_index == plan_.crash_at_write) {
-    // Power loss mid-write: the first torn_bytes of the sector made it to
-    // the platter (bypassing the dying disk cache), the rest did not.
-    const std::uint32_t keep =
-        std::min<std::uint32_t>(plan_.torn_bytes,
-                                static_cast<std::uint32_t>(image.size()));
-    if (keep > 0) {
-      Bytes merged;
-      Status read = inner_->ReadBlock(index, merged);
-      if (read.ok()) {
-        std::copy(image.begin(), image.begin() + keep, merged.begin());
-        (void)inner_->WriteBlock(index, merged);
-        ++stats_.torn_writes;
-        RGPD_METRIC_COUNT("storage.fault.torn_writes");
-      }
-    }
-    CrashLocked();
-    return Crashed("injected crash at write #" +
-                   std::to_string(write_index));
   }
 
   if (plan_.volatile_write_back) {

@@ -102,6 +102,7 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Format(
   for (BlockIndex b = sb.bitmap_start; b < sb.data_start; ++b) {
     RGPD_RETURN_IF_ERROR(store->DevWrite(b, zero));
   }
+  store->journal_.MarkRegionZeroed();
   store->bitmap_.assign((sb.block_count + 63) / 64, 0);
   // Mark all metadata blocks (including block 0) as used.
   for (BlockIndex b = 0; b < sb.data_start; ++b) store->BitmapSet(b, true);

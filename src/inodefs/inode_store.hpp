@@ -123,7 +123,8 @@ class InodeStore {
   Status Truncate(InodeId id, std::uint64_t new_size, bool scrub);
 
   // ---- GDPR scrubbing ------------------------------------------------------
-  /// Zero the whole journal region (destroys write history).
+  /// Destroy the journal's write history: zero every journal block
+  /// written since the last scrub (see Journal::Scrub).
   Status ScrubJournal();
 
   // ---- introspection -------------------------------------------------------

@@ -155,6 +155,7 @@ Status Journal::WriteRecord(const Bytes& image) {
   if (sb_.journal_head + blocks_needed > sb_.journal_blocks) {
     RGPD_RETURN_IF_ERROR(PersistSuperblock());
     sb_.journal_head = 0;
+    dirty_blocks_ = sb_.journal_blocks;
   }
   std::vector<blockdev::BatchWrite> batch;
   batch.reserve(blocks_needed);
@@ -164,13 +165,20 @@ Status Journal::WriteRecord(const Bytes& image) {
          ByteSpan(image.data() + i * sb_.block_size, sb_.block_size)});
   }
   sb_.journal_head += blocks_needed;
+  // Raised before the write: a failed or torn write may still have left
+  // bytes in these blocks.
+  dirty_blocks_ = std::max(dirty_blocks_, sb_.journal_head);
   bytes_logged_ += image.size();
   // All the record's blocks go out as ONE submission; the async layer
-  // below turns that into a single amortised device batch. Journal block
-  // writes are idempotent (full images), so if the batch fails, degrade
-  // to per-block bounded retry — re-running the whole batch on
-  // transient-heavy media would re-trip the fault on every attempt once
-  // the batch is wider than the error period.
+  // below turns that into a single amortised device batch.
+  return WriteBlocks(batch);
+}
+
+Status Journal::WriteBlocks(const std::vector<blockdev::BatchWrite>& batch) {
+  // Journal block writes are idempotent (full images), so if the batch
+  // fails, degrade to per-block bounded retry — re-running the whole
+  // batch on transient-heavy media would re-trip the fault on every
+  // attempt once the batch is wider than the error period.
   if (device_.WriteBatch(batch).ok()) return Status::Ok();
   for (const blockdev::BatchWrite& w : batch) {
     RGPD_RETURN_IF_ERROR(
@@ -396,6 +404,9 @@ Result<std::vector<ReplayedWrite>> Journal::Replay() {
 }
 
 Status Journal::Scrub() {
+  // Nothing written since the last completed scrub (or Format): the
+  // region holds no history, so no watermark needs to reach the medium.
+  if (dirty_blocks_ == 0) return Status::Ok();
   RGPD_METRIC_COUNT("inodefs.journal.scrubs");
   RGPD_METRIC_SCOPED_LATENCY("inodefs.journal.scrub_latency_ns");
   // A scrub interrupted by a crash leaves a partially zeroed region: the
@@ -403,15 +414,22 @@ Status Journal::Scrub() {
   // part of the history). Persist the watermark covering them first.
   RGPD_RETURN_IF_ERROR(PersistSuperblock());
   const Bytes zero(sb_.block_size, 0);
-  for (std::uint64_t i = 0; i < sb_.journal_blocks; ++i) {
-    RGPD_RETURN_IF_ERROR(RetryIo(
-        retry_, [&] { return device_.WriteBlock(sb_.journal_start + i, zero); }));
-    // A cached journal block would keep the pre-scrub history readable;
-    // drop it along with the on-medium bytes.
-    device_.InvalidateCached(sb_.journal_start + i);
+  std::vector<blockdev::BatchWrite> batch;
+  batch.reserve(dirty_blocks_);
+  for (std::uint64_t i = 0; i < dirty_blocks_; ++i) {
+    batch.push_back(
+        {sb_.journal_start + i, ByteSpan(zero.data(), zero.size())});
   }
+  RGPD_RETURN_IF_ERROR(WriteBlocks(batch));
+  // A cached journal block would keep the pre-scrub history readable;
+  // drop it along with the on-medium bytes.
+  for (const blockdev::BatchWrite& w : batch) device_.InvalidateCached(w.index);
   sb_.journal_head = 0;
-  return RetryIo(retry_, [&] { return device_.Flush(); });
+  RGPD_RETURN_IF_ERROR(RetryIo(retry_, [&] { return device_.Flush(); }));
+  // Only a durable zeroing shrinks the bound: after any failure above the
+  // next scrub covers the same blocks again.
+  dirty_blocks_ = 0;
+  return Status::Ok();
 }
 
 }  // namespace rgpdos::inodefs

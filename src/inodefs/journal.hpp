@@ -88,8 +88,16 @@ class Journal {
   /// made by InodeStore under the per-store mutex (rank kInodefs), which
   /// also serialises the head/seq cursor in the shared superblock.
   /// bytes_logged() is a bench counter: read it only at quiescence.
+  ///
+  /// A new journal assumes every region block may hold history (a
+  /// mounted region's tail is not provably zero, and Mount's replay scan
+  /// may have left journal blocks in a block cache), so its first Scrub()
+  /// covers the whole region. InodeStore::Format, which has just zeroed
+  /// the region, calls MarkRegionZeroed() instead.
   Journal(blockdev::BlockDevice& device, Superblock& superblock)
-      : device_(device), sb_(superblock) {}
+      : device_(device),
+        sb_(superblock),
+        dirty_blocks_(superblock.journal_blocks) {}
 
   /// Transient-IO retry policy for every device access the journal makes.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
@@ -115,9 +123,17 @@ class Journal {
     return replay_stats_;
   }
 
-  /// Zero the entire journal region (GDPR scrub). Head resets to 0;
-  /// sequence numbers keep increasing so replay ordering stays sound.
+  /// Destroy every byte of write history in the region (GDPR scrub).
+  /// Only the blocks that may have been written since the last completed
+  /// scrub are zeroed, as one batched device write; every other region
+  /// block is already zero. With nothing written since, this touches no
+  /// device at all. Head resets to 0; sequence numbers keep increasing so
+  /// replay ordering stays sound.
   Status Scrub();
+
+  /// Record that the whole region is zero on the medium (Format has just
+  /// zeroed it), so the next Scrub() has nothing to destroy.
+  void MarkRegionZeroed() { dirty_blocks_ = 0; }
 
   /// Lifetime bytes appended (bench counter).
   [[nodiscard]] std::uint64_t bytes_logged() const { return bytes_logged_; }
@@ -133,6 +149,9 @@ class Journal {
   /// region start first if it does not fit in the tail) as one batched
   /// device submission.
   Status WriteRecord(const Bytes& image);
+  /// Write `batch` as one device submission, degrading to per-block
+  /// bounded retry if the submission fails.
+  Status WriteBlocks(const std::vector<blockdev::BatchWrite>& batch);
   /// Durably persist the superblock (checkpoint watermark included).
   /// Called before the head wraps and before a scrub: both destroy old
   /// records, which is only safe once the medium provably knows they are
@@ -144,6 +163,10 @@ class Journal {
   Superblock& sb_;
   RetryPolicy retry_;
   std::uint64_t bytes_logged_ = 0;
+  /// Upper bound on the region blocks that may hold history: blocks
+  /// [0, dirty_blocks_) may, every block past it is zero on the medium
+  /// (its last write was the durable zeroing of a scrub or of Format).
+  std::uint64_t dirty_blocks_;
   ReplayStats replay_stats_;
 };
 

@@ -239,6 +239,26 @@ TEST(FaultInjectionTest, TransientErrorsFailOnceThenSucceed) {
   EXPECT_EQ(out, BlockOf(512, 0x22));
 }
 
+TEST(FaultInjectionTest, CrashFiresAtItsWriteEvenWhenDueATransientError) {
+  MemBlockDevice inner(512, 32);
+  FaultPlan plan;
+  plan.crash_at_write = 2;
+  plan.transient_error_every = 2;  // write 2 is also IO 2
+  FaultInjectingBlockDevice fault(&inner, plan);
+
+  ASSERT_TRUE(fault.WriteBlock(1, BlockOf(512, 0x11)).ok());
+  // Power loss preempts the bus error: write 2 crashes instead of
+  // failing transiently and letting its retry (write 3) through.
+  EXPECT_EQ(fault.WriteBlock(2, BlockOf(512, 0x22)).code(),
+            StatusCode::kCrashed);
+  EXPECT_EQ(fault.fault_stats().crashes, 1u);
+  EXPECT_EQ(fault.WriteBlock(2, BlockOf(512, 0x22)).code(),
+            StatusCode::kCrashed);
+  Bytes out;
+  ASSERT_TRUE(inner.ReadBlock(2, out).ok());
+  EXPECT_EQ(out, BlockOf(512, 0x00));
+}
+
 TEST(FaultInjectionTest, BitFlipCorruptsExactlyOneBit) {
   MemBlockDevice inner(512, 32);
   FaultPlan plan;

@@ -165,6 +165,98 @@ TEST_F(InodeStoreTest, ScrubbedTruncateThenJournalScrubDestroysAllBytes) {
   EXPECT_EQ(blockdev::CountBlocksContaining(*device_, secret), 0u);
 }
 
+// ---- incremental journal scrub ---------------------------------------------
+//
+// A scrub zeroes only the region blocks written since the last completed
+// scrub (or Format); the tests count raw device traffic to pin that, and
+// scan the medium to pin that no history survives.
+
+TEST_F(InodeStoreTest, ScrubWritesOnlyTheBlocksJournaledSinceFormat) {
+  ASSERT_TRUE(store_->AllocInode(InodeKind::kFile).ok());
+  const std::uint64_t record_blocks = store_->journal().bytes_logged() / 512;
+  ASSERT_GT(record_blocks, 0u);
+  ASSERT_EQ(store_->superblock().journal_head, record_blocks);
+
+  const blockdev::DeviceStats before = device_->stats();
+  ASSERT_TRUE(store_->ScrubJournal().ok());
+  // The record's blocks plus the superblock watermark — not all 128
+  // blocks of the region.
+  EXPECT_EQ(device_->stats().writes - before.writes, record_blocks + 1);
+  EXPECT_EQ(store_->superblock().journal_head, 0u);
+}
+
+TEST_F(InodeStoreTest, ScrubWithNothingJournaledSinceTouchesNoDevice) {
+  // Format zeroed the region: there is no history to destroy yet.
+  blockdev::DeviceStats before = device_->stats();
+  ASSERT_TRUE(store_->ScrubJournal().ok());
+  EXPECT_EQ(device_->stats().writes, before.writes);
+  EXPECT_EQ(device_->stats().flushes, before.flushes);
+
+  // Nor right after a scrub that destroyed a transaction's record.
+  ASSERT_TRUE(store_->AllocInode(InodeKind::kFile).ok());
+  ASSERT_TRUE(store_->ScrubJournal().ok());
+  before = device_->stats();
+  ASSERT_TRUE(store_->ScrubJournal().ok());
+  EXPECT_EQ(device_->stats().writes, before.writes);
+  EXPECT_EQ(device_->stats().flushes, before.flushes);
+}
+
+/// Leave `secret` only in a journal record that sits beyond the head
+/// after a wrap: push the head a quarter into the region, journal the
+/// secret and scrub its data block, then append until the head wraps
+/// to below the secret's record.
+void JournalSecretBeyondWrappedHead(InodeStore& store,
+                                    blockdev::MemBlockDevice& device,
+                                    const Bytes& secret) {
+  auto filler = store.AllocInode(InodeKind::kFile);
+  ASSERT_TRUE(filler.ok());
+  std::uint8_t fill = 0;
+  const auto append = [&] {
+    return store.WriteAt(*filler, 0, Bytes(512, ++fill));
+  };
+  while (store.superblock().journal_head < 32) ASSERT_TRUE(append().ok());
+
+  auto id = store.AllocInode(InodeKind::kFile);
+  ASSERT_TRUE(id.ok());
+  const std::uint64_t secret_record = store.superblock().journal_head;
+  ASSERT_TRUE(store.WriteAt(*id, 0, secret).ok());
+  ASSERT_TRUE(store.Truncate(*id, 0, /*scrub=*/true).ok());
+
+  std::uint64_t head = store.superblock().journal_head;
+  for (;;) {
+    ASSERT_TRUE(append().ok());
+    if (store.superblock().journal_head < head) break;  // wrapped
+    head = store.superblock().journal_head;
+  }
+  ASSERT_LT(store.superblock().journal_head, secret_record);
+  ASSERT_GT(blockdev::CountBlocksContaining(device, secret), 0u);
+}
+
+TEST_F(InodeStoreTest, ScrubAfterHeadWrapDestroysRecordsBeyondTheHead) {
+  const Bytes secret = ToBytes("WRAPPED_JOURNAL_SECRET");
+  ASSERT_NO_FATAL_FAILURE(
+      JournalSecretBeyondWrappedHead(*store_, *device_, secret));
+  ASSERT_TRUE(store_->ScrubJournal().ok());
+  EXPECT_EQ(blockdev::CountBlocksContaining(*device_, secret), 0u);
+}
+
+TEST_F(InodeStoreTest, FirstScrubAfterMountCoversTheWholeRegion) {
+  const Bytes secret = ToBytes("REMOUNTED_JOURNAL_SECRET");
+  ASSERT_NO_FATAL_FAILURE(
+      JournalSecretBeyondWrappedHead(*store_, *device_, secret));
+  ASSERT_TRUE(store_->Sync().ok());
+  store_.reset();
+
+  // Replay resumes the head right after the newest record; the region
+  // past it is not provably zero, so the first scrub must cover it all.
+  auto mounted = InodeStore::Mount(device_.get(), &clock_);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  store_ = std::move(mounted).value();
+  ASSERT_GT(blockdev::CountBlocksContaining(*device_, secret), 0u);
+  ASSERT_TRUE(store_->ScrubJournal().ok());
+  EXPECT_EQ(blockdev::CountBlocksContaining(*device_, secret), 0u);
+}
+
 TEST_F(InodeStoreTest, MountSeesPersistedState) {
   auto id = store_->AllocInode(InodeKind::kFile);
   ASSERT_TRUE(id.ok());

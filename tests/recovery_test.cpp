@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/rgpdos.hpp"
 #include "dsl/parser.hpp"
@@ -220,7 +222,39 @@ Result<dsl::TypeDecl> FormatBootImage(blockdev::BlockDevice& medium,
   return decl;
 }
 
+/// Unsets the RGPDOS_FAULT_* variables for its lifetime and restores
+/// them afterwards. Boot lets those variables override a config's fault
+/// plan, so a test that plans its own crash points holds one of these
+/// around its boots to keep a seeded plan from replacing them.
+class ScopedFaultEnvCleared {
+ public:
+  ScopedFaultEnvCleared() {
+    for (const char* name : kNames) {
+      if (const char* value = std::getenv(name); value != nullptr) {
+        saved_.emplace_back(name, value);
+      }
+      unsetenv(name);
+    }
+  }
+  ~ScopedFaultEnvCleared() {
+    for (const auto& [name, value] : saved_) {
+      setenv(name.c_str(), value.c_str(), /*overwrite=*/1);
+    }
+  }
+  ScopedFaultEnvCleared(const ScopedFaultEnvCleared&) = delete;
+  ScopedFaultEnvCleared& operator=(const ScopedFaultEnvCleared&) = delete;
+
+ private:
+  static constexpr const char* kNames[] = {
+      "RGPDOS_FAULT_SEED", "RGPDOS_FAULT_CRASH_AT", "RGPDOS_FAULT_TORN_BYTES",
+      "RGPDOS_FAULT_WRITEBACK", "RGPDOS_FAULT_TRANSIENT_EVERY"};
+  std::vector<std::pair<std::string, std::string>> saved_;
+};
+
 TEST(BootRecovery, AttachedDeviceCrashesAndRebootRecovers) {
+  // Both phases below choose their own faults (a crash point, then
+  // none); the recovery CI job's RGPDOS_FAULT_SEED must not replace them.
+  const ScopedFaultEnvCleared own_fault_plan;
   SimClock clock(1000);
   sentinel::AuditSink audit;
   sentinel::Sentinel sentinel(sentinel::SecurityPolicy::RgpdDefault(),
