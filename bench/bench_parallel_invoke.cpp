@@ -1,26 +1,27 @@
 // Parallel ps_invoke scaling: the same consented population processed by
 // one DED pipeline at 1 / 2 / 4 / 8 lanes (BootConfig::worker_threads),
 // on an UNCACHED seek-bound (HDD) device cost model — the workload is
-// IO-bound, the shape the async block layer and the pipelined DED stages
-// exist for. (The NVMe leg of the same story lives in bench_async_io and
+// IO-bound, the shape the pipelined DED stages exist for. (The NVMe
+// leg of the same story lives in bench_journal_extents and
 // bench_gdprbench_mix; here the device is deliberately slow so that
 // device waits, not host CPU, dominate — lane scaling is about hiding
 // those waits.)
 //
 // Throughput is device-normalized: records / (wall time + simulated
-// device time ÷ lanes). The division models what the submission ring
-// makes true: with N pipeline lanes the load lane keeps up to N batched
-// submissions in flight against a device whose cost model amortises
-// queued ops (LatencyProfile queue_depth), so device waits overlap with
-// execute-lane work instead of serialising behind it. Wall time — the
-// host CPU cost of the pipeline itself — is NOT divided, so a pipeline
-// that burns CPU on coordination shows up as a flat curve exactly as it
-// would on real hardware.
+// device time ÷ lanes). The division models the loader lane's batched
+// reads (GetMembraneMany / GetMany), which the cost model charges at
+// the profile's queue depth, overlapping with the execute lanes: device
+// waits run beside execute-lane work instead of serialising behind it.
+// Wall time — the host CPU cost of the pipeline itself — is NOT divided,
+// so a pipeline that burns CPU on coordination shows up as a flat curve
+// exactly as it would on real hardware.
 //
 // Acceptance gate: speedup_4_threads (4-lane / 1-lane device-normalized
 // records/s) must clear RGPDOS_SPEEDUP_FLOOR (default 2.5; 0 disables).
-// The pre-async baseline recorded 0.95 — a flat curve — so the gate
-// guards the whole point of the PR.
+// The unpipelined DED recorded 0.95 — a flat curve. The 1-lane
+// `sim ms/invoke` column is reported but not gated: it includes the
+// audit writer's journal commits, whose count depends on how fast
+// commits complete, so it moves from run to run.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -33,10 +33,11 @@ Result<RgpdOs::StoreStack> RgpdOs::BuildStack(const BootConfig& config,
   // Stack order, inner to outer: raw device -> optional fault injector
   // (it models the medium plus its volatile disk cache, so it must be
   // the closest decorator to the raw device) -> optional latency model
-  // (simulated IO cost) -> optional block cache (level 1 of the caching
-  // stack; on the OUTSIDE so a cache hit pays neither device nor
-  // simulated-latency cost, exactly like a page-cache hit skips a real
-  // disk).
+  // (simulated IO cost; batches are charged at the profile's queue
+  // depth) -> optional block cache (level 1 of the caching stack; on
+  // the OUTSIDE so a cache hit pays neither device nor simulated-latency
+  // cost, exactly like a page-cache hit skips a real disk). Every call
+  // runs synchronously on the caller's thread.
   StoreStack stack;
   if (attached != nullptr) {
     stack.raw = attached;
@@ -55,14 +56,6 @@ Result<RgpdOs::StoreStack> RgpdOs::BuildStack(const BootConfig& config,
     stack.latency =
         std::make_unique<blockdev::LatencyModelDevice>(dev, config.latency);
     dev = stack.latency.get();
-  }
-  if (config.async_io && config.ring_depth > 0) {
-    // Submission/completion ring between the cost model and the cache:
-    // cache hits skip the ring entirely, misses and write-backs flow
-    // through it as batched submissions.
-    stack.async =
-        std::make_unique<blockdev::AsyncBlockDevice>(dev, config.ring_depth);
-    dev = stack.async.get();
   }
   if (config.cache_blocks != 0) {
     stack.cache = std::make_unique<blockdev::BlockCacheDevice>(
@@ -125,16 +118,6 @@ Result<std::unique_ptr<RgpdOs>> RgpdOs::Boot(const BootConfig& boot_config) {
       config.fault_plan.transient_error_every != 0) {
     config.fault_inject = true;
   }
-  // RGPDOS_ASYNC=0 is the async-block-layer kill switch: no ring, and
-  // the simulated device queue depth drops to 1 so the serialized
-  // baseline is what the cost model actually charges for.
-  if (EnvU64("RGPDOS_ASYNC", config.async_io ? 1 : 0) == 0) {
-    config.async_io = false;
-  }
-  config.ring_depth = static_cast<std::size_t>(
-      EnvU64("RGPDOS_RING_DEPTH", config.ring_depth));
-  if (config.ring_depth == 0) config.async_io = false;
-  if (!config.async_io) config.latency.queue_depth = 1;
   // The RGPDOS_AUDIT_* knobs tune the durable audit pipeline without a
   // rebuild (CI runs tiny queues to force backpressure under tsan).
   config.audit_queue_entries = static_cast<std::size_t>(

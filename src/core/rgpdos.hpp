@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "blockdev/async.hpp"
 #include "blockdev/block_cache.hpp"
 #include "blockdev/block_device.hpp"
 #include "blockdev/fault_injection.hpp"
@@ -68,17 +67,9 @@ struct BootConfig {
   bool cache_decisions = true;
   /// Simulated device cost model applied to the PD devices (benches
   /// normalise throughput by wall + simulated time). Zero = no model.
+  /// Its queue_depth amortises the batches the journal, group commit
+  /// and batched reads issue (DESIGN.md §13).
   blockdev::LatencyProfile latency = blockdev::LatencyProfile::Zero();
-  /// Async block layer (DESIGN.md §13): wrap each PD device in an
-  /// AsyncBlockDevice submission/completion ring so journal commits and
-  /// checkpoints go out as amortised batched submissions with flush
-  /// coalescing. RGPDOS_ASYNC=0 kills it at runtime; turning it off
-  /// (either way) also forces the latency model's queue depth to 1 so
-  /// the A/B compares serialized against batched IO honestly.
-  bool async_io = true;
-  /// Submission-ring depth per PD device. 0 disables the ring like
-  /// async_io = false. RGPDOS_RING_DEPTH overrides at runtime.
-  std::size_t ring_depth = 16;
   /// Every journal logs only the dirty byte ranges of each block (extent
   /// records, the only format). A constant, not a knob; it stays a
   /// member because perfbench's config banner prints it.
@@ -217,10 +208,6 @@ class RgpdOs {
     return sensitive_shards_.empty() ? nullptr
                                      : sensitive_shards_[shard].cache.get();
   }
-  /// Non-null iff booted with async_io (and ring_depth != 0).
-  [[nodiscard]] blockdev::AsyncBlockDevice* dbfs_async(std::size_t shard = 0) {
-    return pd_shards_[shard].async.get();
-  }
   /// Non-null iff booted with a non-zero latency profile.
   [[nodiscard]] blockdev::LatencyModelDevice* dbfs_latency(
       std::size_t shard = 0) {
@@ -301,7 +288,6 @@ class RgpdOs {
     blockdev::BlockDevice* raw = nullptr;  ///< owned_device or attached medium
     std::unique_ptr<blockdev::FaultInjectingBlockDevice> fault;
     std::unique_ptr<blockdev::LatencyModelDevice> latency;
-    std::unique_ptr<blockdev::AsyncBlockDevice> async;
     std::unique_ptr<blockdev::BlockCacheDevice> cache;
     blockdev::BlockDevice* top = nullptr;  ///< outermost decorator
     std::unique_ptr<inodefs::InodeStore> store;

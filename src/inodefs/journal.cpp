@@ -169,8 +169,8 @@ Status Journal::WriteRecord(const Bytes& image) {
   // bytes in these blocks.
   dirty_blocks_ = std::max(dirty_blocks_, sb_.journal_head);
   bytes_logged_ += image.size();
-  // All the record's blocks go out as ONE submission; the async layer
-  // below turns that into a single amortised device batch.
+  // All the record's blocks go out as ONE batch, which the device cost
+  // model charges at its queue depth.
   return WriteBlocks(batch);
 }
 

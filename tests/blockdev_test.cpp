@@ -4,7 +4,6 @@
 
 #include <cstdio>
 
-#include "blockdev/async.hpp"
 #include "blockdev/block_device.hpp"
 #include "blockdev/fault_injection.hpp"
 #include "blockdev/file_block_device.hpp"
@@ -88,6 +87,50 @@ TEST(LatencyModelTest, AccumulatesSimulatedTime) {
   EXPECT_EQ(device.simulated_ns(), 20'000u + 10'000u + 50'000u);
   device.ResetSimulatedTime();
   EXPECT_EQ(device.simulated_ns(), 0u);
+}
+
+TEST(LatencyModelTest, BatchCostAmortisesAtQueueDepth) {
+  // A batch of n ops costs op_ns * (1 + (n-1)/queue_depth): the first op
+  // pays full latency and the rest overlap at the queue's parallelism.
+  // Single-block calls always pay full cost.
+  const auto charged = [](LatencyProfile profile, auto&& io) {
+    LatencyModelDevice device(std::make_unique<MemBlockDevice>(512, 32),
+                              profile);
+    io(device);
+    return device.simulated_ns();
+  };
+  std::vector<Bytes> payloads(16, BlockOf(512, 0x5A));
+  std::vector<BatchWrite> writes;
+  std::vector<BlockIndex> indexes;
+  for (BlockIndex i = 0; i < 16; ++i) {
+    writes.push_back({i, payloads[i]});
+    indexes.push_back(i);
+  }
+  const auto write_batch = [&](LatencyModelDevice& device) {
+    ASSERT_TRUE(device.WriteBatch(writes).ok());
+  };
+  const auto read_batch = [&](LatencyModelDevice& device) {
+    std::vector<Bytes> out;
+    ASSERT_TRUE(device.ReadBatch(indexes, out).ok());
+    EXPECT_EQ(out.size(), 16u);
+  };
+  const auto single_writes = [&](LatencyModelDevice& device) {
+    for (const BatchWrite& w : writes) {
+      ASSERT_TRUE(device.WriteBlock(w.index, w.data).ok());
+    }
+  };
+
+  const LatencyProfile nvme = LatencyProfile::Nvme();
+  ASSERT_EQ(nvme.queue_depth, 16u);
+  EXPECT_EQ(charged(nvme, write_batch), 38'750u);  // 20000 + 20000*15/16
+  EXPECT_EQ(charged(nvme, read_batch), 19'375u);
+  EXPECT_EQ(charged(nvme, single_writes), 320'000u);
+
+  // queue_depth 0 is charged like 1: a batch costs what serial ops do.
+  LatencyProfile depth0 = nvme;
+  depth0.queue_depth = 0;
+  EXPECT_EQ(charged(depth0, write_batch), 320'000u);
+  EXPECT_EQ(charged(depth0, read_batch), 160'000u);
 }
 
 TEST(LatencyModelTest, HddIsSlowerThanNvme) {
@@ -288,75 +331,6 @@ TEST(FaultInjectionTest, FromSeedIsDeterministicAndBounded) {
   EXPECT_EQ(a.bit_flip_at_write, 0u);  // excluded by design
   const FaultPlan c = FaultPlan::FromSeed(8, 100);
   EXPECT_NE(a.ToString(), c.ToString());
-}
-
-// ---- async ring -------------------------------------------------------------
-
-TEST(AsyncBlockDeviceTest, ReadNeverOvertakesQueuedWrites) {
-  MemBlockDevice inner(512, 64);
-  AsyncBlockDevice dev(&inner, 4);
-  // Fire-and-forget a chain of writes to the same block; the sync read
-  // must drain the ring first and observe the LAST write, not a stale
-  // intermediate image.
-  for (std::uint8_t i = 1; i <= 5; ++i) {
-    dev.Submit({AsyncBlockDevice::Op::Write(3, Bytes(512, i))});
-  }
-  Bytes out;
-  ASSERT_TRUE(dev.ReadBlock(3, out).ok());
-  EXPECT_EQ(out, Bytes(512, 5));
-  const AsyncDeviceStats stats = dev.async_stats();
-  EXPECT_EQ(stats.ops_submitted, 5u);
-  EXPECT_EQ(stats.ops_completed, 5u);
-}
-
-TEST(AsyncBlockDeviceTest, WaitReturnsPerSubmissionStatus) {
-  MemBlockDevice inner(512, 8);
-  AsyncBlockDevice dev(&inner, 2);
-  const auto ok_ticket =
-      dev.Submit({AsyncBlockDevice::Op::Write(1, Bytes(512, 0xAB))});
-  const auto bad_ticket =
-      dev.Submit({AsyncBlockDevice::Op::Write(999, Bytes(512, 0xCD))});
-  EXPECT_TRUE(dev.Wait(ok_ticket).ok());
-  EXPECT_FALSE(dev.Wait(bad_ticket).ok());  // out of range inner write
-  Bytes out;
-  ASSERT_TRUE(dev.ReadBlock(1, out).ok());
-  EXPECT_EQ(out, Bytes(512, 0xAB));
-}
-
-TEST(AsyncBlockDeviceTest, RedundantFlushBarriersAreCoalesced) {
-  MemBlockDevice inner(512, 8);
-  AsyncBlockDevice dev(&inner, 4);
-  ASSERT_TRUE(dev.WriteBlock(0, Bytes(512, 1)).ok());
-  ASSERT_TRUE(dev.Flush().ok());  // persists the write — real sync
-  const std::uint64_t after_first = inner.stats().flushes;
-  ASSERT_TRUE(dev.Flush().ok());  // nothing dirty — elided
-  ASSERT_TRUE(dev.Flush().ok());  // still nothing — elided
-  EXPECT_EQ(inner.stats().flushes, after_first);
-  EXPECT_GE(dev.async_stats().coalesced_flushes, 2u);
-  // A new write re-arms the barrier: the next flush must reach the device.
-  ASSERT_TRUE(dev.WriteBlock(0, Bytes(512, 2)).ok());
-  ASSERT_TRUE(dev.Flush().ok());
-  EXPECT_EQ(inner.stats().flushes, after_first + 1);
-}
-
-TEST(AsyncBlockDeviceTest, BatchGoesThroughRingAsOneSubmission) {
-  MemBlockDevice inner(512, 16);
-  AsyncBlockDevice dev(&inner, 4);
-  const std::uint64_t submissions_before = dev.async_stats().submissions;
-  std::vector<Bytes> payloads;
-  std::vector<BatchWrite> batch;
-  for (std::uint8_t i = 0; i < 6; ++i) {
-    payloads.push_back(Bytes(512, static_cast<std::uint8_t>(0x10 + i)));
-    batch.push_back({static_cast<BlockIndex>(i),
-                     ByteSpan(payloads.back().data(), payloads.back().size())});
-  }
-  ASSERT_TRUE(dev.WriteBatch(batch).ok());
-  EXPECT_EQ(dev.async_stats().submissions, submissions_before + 1);
-  for (std::uint8_t i = 0; i < 6; ++i) {
-    Bytes out;
-    ASSERT_TRUE(dev.ReadBlock(i, out).ok());
-    EXPECT_EQ(out, Bytes(512, static_cast<std::uint8_t>(0x10 + i)));
-  }
 }
 
 }  // namespace
