@@ -115,11 +115,6 @@ db::Row FreshUserRow(Rng& rng, std::uint64_t subject) {
                  db::Value(rng.NextInRange(1940, 2010))};
 }
 
-/// Which shard a subject-routed op lands on (mirrors ShardedDbfs).
-std::size_t ShardOf(std::uint64_t subject, std::size_t shards) {
-  return subject % shards;
-}
-
 struct RoleResult {
   double achieved_ops_s = 0;
   double p50_us = 0;
@@ -151,7 +146,7 @@ RoleResult RunRole(core::RgpdOs& os, std::size_t shards,
   for (std::uint64_t i = 0; i < ops; ++i) {
     const double arrival = recorder.NextArrivalNs();
     const std::uint64_t subject = 1 + zipf.Next();
-    const std::size_t home = ShardOf(subject, shards);
+    const std::size_t home = os.dbfs().ShardIndexOfSubject(subject);
     const workload::GdprOp op = mix.Sample(rng);
     const bool fan_out = op == workload::GdprOp::kAuditPurpose;
 

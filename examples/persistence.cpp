@@ -7,6 +7,9 @@
 // proves the schema tree, subject tree, membranes and record ids all
 // came back — then exercises a simulated crash (journal-committed write
 // without checkpoint) and recovers it on the next mount.
+//
+// Usage: persistence [image-path]
+// (default image: /tmp/rgpdos_persistence_demo.img; removed on success)
 #include <cstdio>
 
 #include "blockdev/file_block_device.hpp"
@@ -33,8 +36,9 @@ int Fail(const Status& status) {
 
 }  // namespace
 
-int main() {
-  const std::string image = "/tmp/rgpdos_persistence_demo.img";
+int main(int argc, char** argv) {
+  const std::string image =
+      argc > 1 ? argv[1] : "/tmp/rgpdos_persistence_demo.img";
   std::remove(image.c_str());
   SystemClock clock;
   sentinel::AuditSink audit;

@@ -20,7 +20,7 @@
 #include <string>
 
 #include "core/processing_log.hpp"
-#include "dbfs/dbfs.hpp"
+#include "dbfs/sharded_dbfs.hpp"
 #include "inodefs/filesystem.hpp"
 
 namespace rgpdos::core {
@@ -62,7 +62,7 @@ struct AnonymizationResult {
 
 class Anonymizer {
  public:
-  Anonymizer(dbfs::DbfsApi* dbfs, ProcessingLog* log, const Clock* clock)
+  Anonymizer(dbfs::ShardedDbfs* dbfs, ProcessingLog* log, const Clock* clock)
       : dbfs_(dbfs), log_(log), clock_(clock) {}
 
   /// Generalise every live, unexpired record of `type_name` per `spec`
@@ -74,9 +74,9 @@ class Anonymizer {
                                       std::string_view npd_path);
 
  private:
-  dbfs::DbfsApi* dbfs_;    // borrowed
-  ProcessingLog* log_;  // borrowed
-  const Clock* clock_;  // borrowed
+  dbfs::ShardedDbfs* dbfs_;  // borrowed
+  ProcessingLog* log_;       // borrowed
+  const Clock* clock_;       // borrowed
 };
 
 }  // namespace rgpdos::core

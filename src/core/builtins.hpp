@@ -9,13 +9,13 @@
 #include "core/pdref.hpp"
 #include "core/processing_log.hpp"
 #include "crypto/rsa.hpp"
-#include "dbfs/dbfs.hpp"
+#include "dbfs/sharded_dbfs.hpp"
 
 namespace rgpdos::core {
 
 class Builtins {
  public:
-  Builtins(dbfs::DbfsApi* dbfs, ProcessingLog* log,
+  Builtins(dbfs::ShardedDbfs* dbfs, ProcessingLog* log,
            crypto::SecureRandom* rng)
       : dbfs_(dbfs), log_(log), rng_(rng) {}
 
@@ -62,9 +62,9 @@ class Builtins {
                           const std::function<void(membrane::Membrane&)>&
                               mutate);
 
-  dbfs::DbfsApi* dbfs_;            // borrowed
-  ProcessingLog* log_;          // borrowed
-  crypto::SecureRandom* rng_;   // borrowed
+  dbfs::ShardedDbfs* dbfs_;    // borrowed
+  ProcessingLog* log_;         // borrowed
+  crypto::SecureRandom* rng_;  // borrowed
 };
 
 }  // namespace rgpdos::core

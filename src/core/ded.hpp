@@ -28,7 +28,7 @@
 // one memo lookup instead of a second Evaluate + scope intersection.
 //
 // Batched loads & stage pipelining: the IO stages run CHUNKED — one
-// DbfsApi::GetMembraneMany per chunk of candidates feeds the filter, and
+// ShardedDbfs::GetMembraneMany per chunk of candidates feeds the filter, and
 // the chunk's survivors fetch their rows in one GetMany — so the block
 // layer sees a handful of amortised batched submissions instead of 3+
 // serialized reads per record. Single-lane, the chunks run inline in
@@ -54,7 +54,7 @@
 #include "core/executor.hpp"
 #include "core/processing.hpp"
 #include "core/processing_log.hpp"
-#include "dbfs/dbfs.hpp"
+#include "dbfs/sharded_dbfs.hpp"
 #include "dsl/ast.hpp"
 #include "sentinel/policy.hpp"
 
@@ -77,8 +77,9 @@ class DataExecutionDomain {
   /// `memoize_decisions` == false recomputes every consent decision
   /// (cache_decisions=0: the pre-cache behaviour; the load_data version
   /// re-validation stays on either way — it is a correctness property).
-  DataExecutionDomain(PassKey, dbfs::DbfsApi* dbfs, sentinel::Sentinel* sentinel,
-                      ProcessingLog* log, const Clock* clock,
+  DataExecutionDomain(PassKey, dbfs::ShardedDbfs* dbfs,
+                      sentinel::Sentinel* sentinel, ProcessingLog* log,
+                      const Clock* clock,
                       DedExecutor* executor = nullptr,
                       bool memoize_decisions = true)
       : dbfs_(dbfs),
@@ -185,7 +186,7 @@ class DataExecutionDomain {
     membrane::Membrane membrane;
     Decision decision;
     Result<dbfs::PdRecord> record = Internal("row not loaded");
-    /// DbfsApi::SubjectGeneration snapshot taken right after the batched
+    /// ShardedDbfs::SubjectGeneration snapshot taken right after the batched
     /// row load: the execute stage re-fetches the membrane iff it moved,
     /// so a withdrawal acked between load and execute is never honoured
     /// while the unmutated common case pays one atomic load.
@@ -207,11 +208,11 @@ class DataExecutionDomain {
                      TimeMicros now, bool want_trace,
                      DecisionMemo* memo) const;
 
-  dbfs::DbfsApi* dbfs_;             // borrowed
-  sentinel::Sentinel* sentinel_; // borrowed
-  ProcessingLog* log_;           // borrowed
-  const Clock* clock_;           // borrowed
-  DedExecutor* executor_;        // borrowed; null = single-lane
+  dbfs::ShardedDbfs* dbfs_;       // borrowed
+  sentinel::Sentinel* sentinel_;  // borrowed
+  ProcessingLog* log_;            // borrowed
+  const Clock* clock_;            // borrowed
+  DedExecutor* executor_;         // borrowed; null = single-lane
   bool memoize_decisions_;
 };
 

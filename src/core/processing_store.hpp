@@ -53,7 +53,7 @@ class ProcessingStore {
   /// `executor` may be null: invokes then run their pipeline
   /// single-lane (the pre-parallel behaviour). `memoize_decisions` is
   /// handed to every DED this store instantiates (see ded.hpp).
-  ProcessingStore(dbfs::DbfsApi* dbfs, sentinel::Sentinel* sentinel,
+  ProcessingStore(dbfs::ShardedDbfs* dbfs, sentinel::Sentinel* sentinel,
                   ProcessingLog* log, const Clock* clock,
                   DedExecutor* executor = nullptr,
                   bool memoize_decisions = true)
@@ -127,12 +127,12 @@ class ProcessingStore {
   Status RunCollection(const dsl::PurposeDecl& purpose,
                        const std::string& method);
 
-  dbfs::DbfsApi* dbfs_;             // borrowed
-  sentinel::Sentinel* sentinel_; // borrowed
-  ProcessingLog* log_;           // borrowed
-  const Clock* clock_;           // borrowed
-  DedExecutor* executor_;        // borrowed; null = single-lane invokes
-  bool memoize_decisions_;       ///< forwarded to each DED instance
+  dbfs::ShardedDbfs* dbfs_;       // borrowed
+  sentinel::Sentinel* sentinel_;  // borrowed
+  ProcessingLog* log_;            // borrowed
+  const Clock* clock_;            // borrowed
+  DedExecutor* executor_;         // borrowed; null = single-lane invokes
+  bool memoize_decisions_;        ///< forwarded to each DED instance
 
   /// Guards everything below. Rank kCore: outermost, so a holder may
   /// still call any lower layer (sentinel, log, dbfs, ...).

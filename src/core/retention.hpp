@@ -44,7 +44,7 @@
 #include "core/processing_log.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/secure_random.hpp"
-#include "dbfs/dbfs.hpp"
+#include "dbfs/sharded_dbfs.hpp"
 #include "metrics/lock.hpp"
 #include "sentinel/audit.hpp"
 
@@ -84,7 +84,7 @@ class RetentionSweeper {
   /// optional; `authority_key` + `rng` are required only in crypto mode
   /// (the crash harness runs the sweeper bare: dbfs + clock only).
   struct Deps {
-    dbfs::DbfsApi* dbfs = nullptr;
+    dbfs::ShardedDbfs* dbfs = nullptr;
     const Clock* clock = nullptr;
     sentinel::AuditSink* audit = nullptr;
     ProcessingLog* log = nullptr;

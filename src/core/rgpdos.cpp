@@ -1,5 +1,6 @@
 #include "core/rgpdos.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -22,14 +23,44 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
   return v;
 }
 
+/// The environment overrides the CI presets and the recovery matrix set,
+/// so the whole suite runs in those configurations without a code
+/// change. Nothing else in Boot reads the environment.
+void ApplyEnvOverrides(BootConfig& config) {
+  // RGPDOS_CACHE=0 forces every cache level off (release-nocache).
+  if (const char* env = std::getenv("RGPDOS_CACHE");
+      env != nullptr && std::string_view(env) == "0") {
+    config.cache_blocks = 0;
+    config.cache_record_entries = 0;
+    config.cache_decisions = false;
+  }
+  // RGPDOS_SHARDS splits a fresh spine N ways (asan-ubsan-shards); an
+  // attached image keeps the shard count it was formatted with.
+  if (config.attach_dbfs_devices.empty()) {
+    config.shards =
+        static_cast<std::size_t>(EnvU64("RGPDOS_SHARDS", config.shards));
+  }
+  // Tiny audit queues and segments force backpressure and sealing
+  // (tsan-audit).
+  config.audit_queue_entries = static_cast<std::size_t>(
+      EnvU64("RGPDOS_AUDIT_QUEUE", config.audit_queue_entries));
+  config.audit_segment_bytes =
+      EnvU64("RGPDOS_AUDIT_SEGMENT_BYTES", config.audit_segment_bytes);
+  // RGPDOS_FAULT_SEED derives a whole fault plan (the recovery matrix).
+  if (const std::uint64_t seed = EnvU64("RGPDOS_FAULT_SEED", 0); seed != 0) {
+    config.fault_plan =
+        blockdev::FaultPlan::FromSeed(seed, /*max_writes=*/4096);
+    config.fault_inject = true;
+  }
+}
+
 }  // namespace
 
 Result<RgpdOs::StoreStack> RgpdOs::BuildStack(const BootConfig& config,
                                               blockdev::BlockDevice* attached,
                                               std::uint64_t blocks,
                                               metrics::LockRank lock_rank,
-                                              const Clock* clock,
-                                              bool mount_existing) {
+                                              const Clock* clock) {
   // Stack order, inner to outer: raw device -> optional fault injector
   // (it models the medium plus its volatile disk cache, so it must be
   // the closest decorator to the raw device) -> optional latency model
@@ -63,7 +94,7 @@ Result<RgpdOs::StoreStack> RgpdOs::BuildStack(const BootConfig& config,
     dev = stack.cache.get();
   }
   stack.top = dev;
-  if (mount_existing) {
+  if (attached != nullptr) {
     // Boot-time crash recovery: mount the surviving image. Replay,
     // checkpoint and the inodefs.recovery.* metrics happen inside Mount;
     // the freshly built cache above starts cold, so nothing pre-crash
@@ -85,81 +116,24 @@ Result<RgpdOs::StoreStack> RgpdOs::BuildStack(const BootConfig& config,
 
 Result<std::unique_ptr<RgpdOs>> RgpdOs::Boot(const BootConfig& boot_config) {
   BootConfig config = boot_config;
-  // RGPDOS_CACHE=0 forces every cache level off without touching code —
-  // the CI matrix runs the whole test suite in both configurations.
-  if (const char* env = std::getenv("RGPDOS_CACHE");
-      env != nullptr && std::string_view(env) == "0") {
-    config.cache_blocks = 0;
-    config.cache_record_entries = 0;
-    config.cache_decisions = false;
-  }
-  // RGPDOS_FAULT_* knobs force fault injection onto the PD devices, the
-  // same way RGPDOS_CACHE reconfigures caching: the recovery CI job runs
-  // the suite under several seeds without a code change. RGPDOS_FAULT_SEED
-  // derives a whole plan; the specific knobs override individual fields.
-  config.fault_seed = EnvU64("RGPDOS_FAULT_SEED", config.fault_seed);
-  if (config.fault_seed != 0) {
-    config.fault_plan = blockdev::FaultPlan::FromSeed(
-        config.fault_seed, /*max_writes=*/4096);
-    config.fault_inject = true;
-  }
-  config.fault_plan.crash_at_write =
-      EnvU64("RGPDOS_FAULT_CRASH_AT", config.fault_plan.crash_at_write);
-  config.fault_plan.torn_bytes = static_cast<std::uint32_t>(
-      EnvU64("RGPDOS_FAULT_TORN_BYTES", config.fault_plan.torn_bytes));
-  if (EnvU64("RGPDOS_FAULT_WRITEBACK",
-             config.fault_plan.volatile_write_back ? 1 : 0) != 0) {
-    config.fault_plan.volatile_write_back = true;
-  }
-  config.fault_plan.transient_error_every = EnvU64(
-      "RGPDOS_FAULT_TRANSIENT_EVERY", config.fault_plan.transient_error_every);
-  if (config.fault_plan.crash_at_write != 0 ||
-      config.fault_plan.volatile_write_back ||
-      config.fault_plan.transient_error_every != 0) {
-    config.fault_inject = true;
-  }
-  // The RGPDOS_AUDIT_* knobs tune the durable audit pipeline without a
-  // rebuild (CI runs tiny queues to force backpressure under tsan).
-  config.audit_queue_entries = static_cast<std::size_t>(
-      EnvU64("RGPDOS_AUDIT_QUEUE", config.audit_queue_entries));
-  config.audit_backpressure_ms =
-      EnvU64("RGPDOS_AUDIT_BACKPRESSURE_MS", config.audit_backpressure_ms);
-  config.audit_segment_bytes =
-      EnvU64("RGPDOS_AUDIT_SEGMENT_BYTES", config.audit_segment_bytes);
-  config.audit_hot_window = static_cast<std::size_t>(
-      EnvU64("RGPDOS_AUDIT_HOT_WINDOW", config.audit_hot_window));
+  ApplyEnvOverrides(config);
   if (config.audit_queue_entries == 0) config.audit_queue_entries = 1;
-  // RGPDOS_RETENTION: 0 disables the sweep daemon, 1 enables it with the
-  // configured knobs, N > 1 enables it with N pages per sweep.
-  if (const std::uint64_t retention =
-          EnvU64("RGPDOS_RETENTION",
-                 config.retention_enabled ? 1 : 0);
-      retention == 0) {
-    config.retention_enabled = false;
-  } else {
-    config.retention_enabled = true;
-    if (retention > 1) {
-      config.retention_pages_per_sweep = static_cast<std::size_t>(retention);
+  const std::vector<blockdev::BlockDevice*>& attached =
+      config.attach_dbfs_devices;
+  if (!attached.empty()) {
+    if (config.split_sensitive) {
+      return InvalidArgument(
+          "attach_dbfs_devices carry PD images only; split_sensitive needs "
+          "a sensitive device per shard");
     }
-  }
-  if (config.attach_dbfs_device != nullptr && config.split_sensitive) {
-    return InvalidArgument(
-        "attach_dbfs_device carries one image; split_sensitive needs two "
-        "devices");
-  }
-  // RGPDOS_SHARDS: boot the PD spine N-way sharded (DESIGN.md §12). The
-  // env override is ignored for attach-mode boots — a single surviving
-  // image is by definition one shard — so the sharded CI matrix doesn't
-  // break crash-recovery tests. An EXPLICIT shards > 1 with an attached
-  // device is a contradiction and fails loudly instead of misbooting.
-  if (config.attach_dbfs_device == nullptr) {
-    config.shards = static_cast<std::size_t>(
-        EnvU64("RGPDOS_SHARDS", config.shards));
-  } else if (config.shards > 1) {
-    return InvalidArgument(
-        "attach_dbfs_device carries one single-shard image; boot with "
-        "shards == 1 (got " +
-        std::to_string(config.shards) + ")");
+    if (config.shards != attached.size() ||
+        std::find(attached.begin(), attached.end(), nullptr) !=
+            attached.end()) {
+      return InvalidArgument(
+          "attach mode needs one non-null device per shard (shards = " +
+          std::to_string(config.shards) + ", devices = " +
+          std::to_string(attached.size()) + ")");
+    }
   }
   if (config.shards == 0) config.shards = 1;
   std::unique_ptr<RgpdOs> os(new RgpdOs());
@@ -191,15 +165,16 @@ Result<std::unique_ptr<RgpdOs>> RgpdOs::Boot(const BootConfig& boot_config) {
   // lines with ordinary PD; its mutex ranks just below the primary
   // store's so DBFS can nest sensitive-store writes inside a
   // primary-store group-commit scope).
+  std::vector<inodefs::InodeStore*> stores;
+  std::vector<inodefs::InodeStore*> sensitive_stores;
   os->pd_shards_.reserve(config.shards);
   for (std::size_t i = 0; i < config.shards; ++i) {
-    blockdev::BlockDevice* attached =
-        i == 0 ? config.attach_dbfs_device : nullptr;
     RGPD_ASSIGN_OR_RETURN(
         StoreStack stack,
-        BuildStack(config, attached, config.dbfs_blocks,
-                   metrics::LockRank::kInodefs, os->clock_.get(),
-                   /*mount_existing=*/attached != nullptr));
+        BuildStack(config, attached.empty() ? nullptr : attached[i],
+                   config.dbfs_blocks, metrics::LockRank::kInodefs,
+                   os->clock_.get()));
+    stores.push_back(stack.store.get());
     os->pd_shards_.push_back(std::move(stack));
   }
   if (config.split_sensitive) {
@@ -208,40 +183,20 @@ Result<std::unique_ptr<RgpdOs>> RgpdOs::Boot(const BootConfig& boot_config) {
       RGPD_ASSIGN_OR_RETURN(
           StoreStack stack,
           BuildStack(config, /*attached=*/nullptr, config.sensitive_blocks,
-                     metrics::LockRank::kInodefsSensitive, os->clock_.get(),
-                     /*mount_existing=*/false));
+                     metrics::LockRank::kInodefsSensitive, os->clock_.get()));
+      sensitive_stores.push_back(stack.store.get());
       os->sensitive_shards_.push_back(std::move(stack));
     }
   }
-  if (config.shards == 1) {
-    if (config.attach_dbfs_device != nullptr) {
-      RGPD_ASSIGN_OR_RETURN(
-          os->dbfs_,
-          dbfs::Dbfs::Mount(os->pd_shards_[0].store.get(),
-                            os->sentinel_.get(), os->clock_.get()));
-    } else {
-      RGPD_ASSIGN_OR_RETURN(
-          os->dbfs_,
-          dbfs::Dbfs::Format(os->pd_shards_[0].store.get(),
-                             os->sentinel_.get(), os->clock_.get(),
-                             config.split_sensitive
-                                 ? os->sensitive_shards_[0].store.get()
-                                 : nullptr));
-    }
-  } else {
-    std::vector<inodefs::InodeStore*> stores;
-    std::vector<inodefs::InodeStore*> sensitive_stores;
-    stores.reserve(config.shards);
-    for (const StoreStack& stack : os->pd_shards_) {
-      stores.push_back(stack.store.get());
-    }
-    for (const StoreStack& stack : os->sensitive_shards_) {
-      sensitive_stores.push_back(stack.store.get());
-    }
+  if (attached.empty()) {
     RGPD_ASSIGN_OR_RETURN(
         os->dbfs_,
         dbfs::ShardedDbfs::Format(stores, os->sentinel_.get(),
                                   os->clock_.get(), sensitive_stores));
+  } else {
+    RGPD_ASSIGN_OR_RETURN(os->dbfs_,
+                          dbfs::ShardedDbfs::Mount(stores, os->sentinel_.get(),
+                                                   os->clock_.get()));
   }
   // Level 2: decoded-record cache with generation invalidation (the
   // facade splits the budget across shards).

@@ -27,6 +27,7 @@
 #include "core/receipts.hpp"
 #include "core/retention.hpp"
 #include "core/rights.hpp"
+#include "dbfs/sharded_dbfs.hpp"
 #include "inodefs/filesystem.hpp"
 #include "sentinel/audit_pipeline.hpp"
 
@@ -77,21 +78,16 @@ struct BootConfig {
   /// Fault injection on the PD devices (crash/torn-write/transient-error
   /// testing). When enabled, each PD raw device is wrapped in a
   /// FaultInjectingBlockDevice (innermost decorator) running `fault_plan`.
-  /// The RGPDOS_FAULT_* env vars force this on at runtime — see README.
+  /// RGPDOS_FAULT_SEED=N forces it on with FaultPlan::FromSeed(N, 4096).
   bool fault_inject = false;
   blockdev::FaultPlan fault_plan;
-  /// Non-zero: derive fault_plan with FaultPlan::FromSeed(fault_seed)
-  /// at boot, overriding `fault_plan`. Mirrors RGPDOS_FAULT_SEED.
-  std::uint64_t fault_seed = 0;
   /// Transient-IO retry policy handed to every inode store.
   inodefs::RetryPolicy io_retry;
   /// Retention sweeper (storage limitation, Art. 5(1)(e)): proactively
   /// erase PD whose membrane TTL has elapsed. When enabled, Boot starts
   /// the background daemon; disabled, the sweeper is still constructed
-  /// so tests/benches can drive SweepOnce by hand. The env var
-  /// RGPDOS_RETENTION overrides at runtime: 0 = disable the daemon,
-  /// 1 = enable with the configured knobs, N > 1 = enable with
-  /// pages-per-sweep N. See DESIGN.md "Retention & storage limitation".
+  /// so tests/benches can drive SweepOnce by hand. See DESIGN.md
+  /// "Retention & storage limitation".
   bool retention_enabled = false;
   /// Daemon period between sweeps, in milliseconds.
   std::uint64_t retention_interval_ms = 1000;
@@ -121,35 +117,32 @@ struct BootConfig {
   std::size_t audit_queue_entries = 8192;
   /// Max entries the writer persists per batch (one journaled append).
   std::size_t audit_batch_entries = 256;
-  /// Backpressure deadline, milliseconds. RGPDOS_AUDIT_BACKPRESSURE_MS
-  /// overrides. 0 = fail immediately when the queue is full.
+  /// Backpressure deadline, milliseconds. 0 = fail immediately when the
+  /// queue is full.
   std::uint64_t audit_backpressure_ms = 2000;
   /// Seal threshold for audit/processing-log segments (raw bytes).
   /// RGPDOS_AUDIT_SEGMENT_BYTES overrides.
   std::uint64_t audit_segment_bytes = 256 * 1024;
   /// Bounded in-memory window of the processing log (0 = unbounded).
   /// Trimmed history stays durable and queryable.
-  /// RGPDOS_AUDIT_HOT_WINDOW overrides.
   std::size_t audit_hot_window = 65536;
-  /// Attach an existing DBFS image instead of formatting a fresh
-  /// in-memory one: Boot mounts the device (replaying its journal — the
-  /// boot-time crash-recovery entry point) rather than calling Format.
-  /// The device is borrowed and must outlive the instance; it still gets
-  /// the latency/cache decorators, which come up cold. Incompatible with
-  /// split_sensitive (a split image needs two devices) and with
-  /// `shards > 1` (one image is one shard — Boot returns
-  /// kInvalidArgument rather than silently misbooting).
-  blockdev::BlockDevice* attach_dbfs_device = nullptr;
-  /// Number of independent PD store shards (DESIGN.md §12). 1 (default)
-  /// boots the classic single-store spine. N > 1 replicates the whole
-  /// vertical stack N times — device, fault injector, latency model,
-  /// block cache, journaled inode store (and, with split_sensitive, a
-  /// sensitive sibling per shard) — behind a dbfs::ShardedDbfs facade
-  /// routing subjects by `subject % N`. Each shard gets the full
-  /// dbfs_blocks / inode_count / journal_blocks / cache_blocks budget.
-  /// The env var RGPDOS_SHARDS overrides at runtime (ignored when
-  /// attach_dbfs_device is set, so single-image boots keep working
-  /// under a sharded CI matrix).
+  /// Attach existing DBFS images instead of formatting fresh in-memory
+  /// ones, one medium per shard (device i backs shard i): Boot mounts
+  /// them (replaying each journal — the boot-time crash-recovery entry
+  /// point) rather than formatting. The devices are borrowed and must
+  /// outlive the instance; they still get the latency/cache decorators,
+  /// which come up cold. `shards` must equal the device count, and
+  /// split_sensitive is refused (the images carry no sensitive
+  /// siblings); either mismatch is kInvalidArgument.
+  std::vector<blockdev::BlockDevice*> attach_dbfs_devices;
+  /// Number of independent PD store shards (DESIGN.md §12). Boot
+  /// replicates the whole vertical stack N times — device, fault
+  /// injector, latency model, block cache, journaled inode store (and,
+  /// with split_sensitive, a sensitive sibling per shard) — behind the
+  /// dbfs::ShardedDbfs facade routing subjects by `subject % N`; 1 is a
+  /// one-shard facade. Each shard gets the full dbfs_blocks /
+  /// inode_count / journal_blocks / cache_blocks budget. RGPDOS_SHARDS
+  /// overrides on fresh boots only (an attached image keeps its shards).
   std::size_t shards = 1;
 };
 
@@ -162,9 +155,8 @@ class RgpdOs {
   ~RgpdOs();
 
   // ---- components ------------------------------------------------------------
-  /// The PD store: a single Dbfs (shards == 1) or the ShardedDbfs
-  /// routing facade (shards > 1) — same contract either way.
-  [[nodiscard]] dbfs::DbfsApi& dbfs() { return *dbfs_; }
+  /// The PD store: the ShardedDbfs facade over shard_count() shards.
+  [[nodiscard]] dbfs::ShardedDbfs& dbfs() { return *dbfs_; }
   [[nodiscard]] ProcessingStore& ps() { return *ps_; }
   [[nodiscard]] ProcessingLog& processing_log() { return *log_; }
   [[nodiscard]] Builtins& builtins() { return *builtins_; }
@@ -172,8 +164,7 @@ class RgpdOs {
   [[nodiscard]] Anonymizer& anonymizer() { return *anonymizer_; }
   [[nodiscard]] ReceiptIssuer& receipts() { return *receipts_; }
   [[nodiscard]] Authority& authority() { return *authority_; }
-  /// Always non-null; the daemon inside is running iff retention was
-  /// enabled (config or RGPDOS_RETENTION).
+  /// Always non-null; the daemon inside is running iff retention_enabled.
   [[nodiscard]] RetentionSweeper& retention() { return *retention_; }
   [[nodiscard]] sentinel::Sentinel& sentinel() { return *sentinel_; }
   [[nodiscard]] sentinel::AuditSink& audit() { return audit_; }
@@ -218,7 +209,7 @@ class RgpdOs {
     return sensitive_shards_.empty() ? nullptr
                                      : sensitive_shards_[shard].latency.get();
   }
-  /// Non-null iff booted with fault injection (config or RGPDOS_FAULT_*).
+  /// Non-null iff booted with fault_inject (config or RGPDOS_FAULT_SEED).
   [[nodiscard]] blockdev::FaultInjectingBlockDevice* dbfs_fault(
       std::size_t shard = 0) {
     return pd_shards_[shard].fault.get();
@@ -232,7 +223,9 @@ class RgpdOs {
   /// Non-null iff booted with use_sim_clock.
   [[nodiscard]] SimClock* sim_clock() { return sim_clock_; }
   [[nodiscard]] crypto::SecureRandom& rng() { return rng_; }
-  /// Non-null iff booted with worker_threads != 1.
+  /// Non-null iff the DED runs on more than one lane: worker_threads > 1,
+  /// or 0 on a host whose CPU partition plans several lanes (a host with
+  /// 2 or fewer CPUs plans one, so it boots no executor).
   [[nodiscard]] DedExecutor* executor() { return executor_.get(); }
 
   // ---- sysadmin conveniences ---------------------------------------------------
@@ -292,15 +285,14 @@ class RgpdOs {
     blockdev::BlockDevice* top = nullptr;  ///< outermost decorator
     std::unique_ptr<inodefs::InodeStore> store;
   };
-  /// Build one shard's stack over `attached` (or a fresh MemBlockDevice
-  /// of `blocks` when null), then Format — or Mount, replaying the
-  /// journal, when `mount_existing` — the inode store on top.
+  /// Build one shard's stack over `attached` and Mount the inode store
+  /// on top, replaying its journal — or, when `attached` is null, over a
+  /// fresh MemBlockDevice of `blocks`, and Format it.
   static Result<StoreStack> BuildStack(const BootConfig& config,
                                        blockdev::BlockDevice* attached,
                                        std::uint64_t blocks,
                                        metrics::LockRank lock_rank,
-                                       const Clock* clock,
-                                       bool mount_existing);
+                                       const Clock* clock);
 
   std::unique_ptr<Clock> clock_;
   SimClock* sim_clock_ = nullptr;  // aliases clock_ when simulated
@@ -318,7 +310,7 @@ class RgpdOs {
   std::unique_ptr<blockdev::MemBlockDevice> npd_device_;
   std::unique_ptr<inodefs::InodeStore> npd_store_;
   std::unique_ptr<inodefs::FileSystem> npd_fs_;
-  std::unique_ptr<dbfs::DbfsApi> dbfs_;
+  std::unique_ptr<dbfs::ShardedDbfs> dbfs_;
 
   /// Declared after pd_shards_ so it is destroyed (writer stopped and
   /// drained) before the store it appends to; the explicit destructor

@@ -15,13 +15,13 @@
 #include "core/builtins.hpp"
 #include "core/processing_log.hpp"
 #include "crypto/rsa.hpp"
-#include "dbfs/dbfs.hpp"
+#include "dbfs/sharded_dbfs.hpp"
 
 namespace rgpdos::core {
 
 class Rights {
  public:
-  Rights(dbfs::DbfsApi* dbfs, ProcessingLog* log, Builtins* builtins)
+  Rights(dbfs::ShardedDbfs* dbfs, ProcessingLog* log, Builtins* builtins)
       : dbfs_(dbfs), log_(log), builtins_(builtins) {}
 
   /// Right of access: a structured, machine-readable JSON document with
@@ -70,9 +70,9 @@ class Rights {
       dbfs::SubjectId subject,
       const std::function<Status(const PdRef&)>& apply);
 
-  dbfs::DbfsApi* dbfs_;      // borrowed
-  ProcessingLog* log_;    // borrowed
-  Builtins* builtins_;    // borrowed
+  dbfs::ShardedDbfs* dbfs_;  // borrowed
+  ProcessingLog* log_;       // borrowed
+  Builtins* builtins_;       // borrowed
 };
 
 /// JSON string escaping (exposed for tests).

@@ -35,22 +35,6 @@ Status Dbfs::Gate(sentinel::Domain caller, sentinel::Operation op,
   return status;
 }
 
-std::vector<Result<PdRecord>> DbfsApi::GetMany(
-    sentinel::Domain caller, const std::vector<RecordId>& ids) const {
-  std::vector<Result<PdRecord>> out;
-  out.reserve(ids.size());
-  for (const RecordId id : ids) out.push_back(Get(caller, id));
-  return out;
-}
-
-std::vector<Result<membrane::Membrane>> DbfsApi::GetMembraneMany(
-    sentinel::Domain caller, const std::vector<RecordId>& ids) const {
-  std::vector<Result<membrane::Membrane>> out;
-  out.reserve(ids.size());
-  for (const RecordId id : ids) out.push_back(GetMembrane(caller, id));
-  return out;
-}
-
 Result<std::unique_ptr<Dbfs>> Dbfs::Format(
     inodefs::InodeStore* store, sentinel::Sentinel* sentinel,
     const Clock* clock, inodefs::InodeStore* sensitive_store,
@@ -1094,7 +1078,7 @@ Result<std::vector<RecordId>> Dbfs::CopyGroupMembersUngated(
   return out;
 }
 
-Result<Dbfs::SensitivityReport> Dbfs::ReportSensitivity(
+Result<SensitivityReport> Dbfs::ReportSensitivity(
     sentinel::Domain caller) const {
   // Schema-level metadata, not PD content: the sysadmin may read it.
   RGPD_RETURN_IF_ERROR(
@@ -1102,7 +1086,7 @@ Result<Dbfs::SensitivityReport> Dbfs::ReportSensitivity(
   return ReportSensitivityUngated();
 }
 
-Result<Dbfs::SensitivityReport> Dbfs::ReportSensitivityUngated() const {
+Result<SensitivityReport> Dbfs::ReportSensitivityUngated() const {
   SensitivityReport report;
   Status failure = Status::Ok();
   std::shared_lock<metrics::OrderedSharedMutex> schema_lock(schema_mu_);

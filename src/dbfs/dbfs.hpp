@@ -91,114 +91,20 @@ struct IdAllocation {
   std::uint64_t stride = 1;
 };
 
-/// The DBFS surface as its consumers see it (DED, rights engine,
-/// retention sweeper, processing store, …). Two implementations: the
-/// single-store `Dbfs` below, and the N-way `ShardedDbfs` routing facade
-/// (sharded_dbfs.hpp) that composes N of them behind the same contract.
-class DbfsApi {
- public:
-  /// Sensitivity segregation report (paper §2: "sensitive data … be
-  /// stored separately from less sensitive data"): live record counts
-  /// per sensitivity level and per type, for the sysadmin/regulator.
-  struct SensitivityReport {
-    std::array<std::size_t, 3> by_level{};  ///< [low, medium, high]
-    std::map<std::string, std::size_t> high_by_type;
-  };
-
-  virtual ~DbfsApi() = default;
-
-  // ---- schema tree (sysadmin surface) --------------------------------------
-  virtual Status CreateType(sentinel::Domain caller,
-                            const dsl::TypeDecl& decl) = 0;
-  virtual Result<const dsl::TypeDecl*> GetType(sentinel::Domain caller,
-                                               std::string_view name) const = 0;
-  [[nodiscard]] virtual std::vector<std::string> TypeNames() const = 0;
-
-  // ---- record surface (DED only) -------------------------------------------
-  virtual Result<RecordId> Put(sentinel::Domain caller, SubjectId subject,
-                               std::string_view type_name, const db::Row& row,
-                               membrane::Membrane membrane) = 0;
-  virtual Result<PdRecord> Get(sentinel::Domain caller, RecordId id) const = 0;
-  virtual Result<membrane::Membrane> GetMembrane(sentinel::Domain caller,
-                                                 RecordId id) const = 0;
-  /// Batched fetch: one Result per id, in order. Semantically identical
-  /// to calling Get/GetMembrane per id — same sentinel gating and audit
-  /// trail per record — but implementations may amortise store IO across
-  /// the whole batch (Dbfs reads every record's inodes in a handful of
-  /// batched device submissions). The default is the per-id loop.
-  virtual std::vector<Result<PdRecord>> GetMany(
-      sentinel::Domain caller, const std::vector<RecordId>& ids) const;
-  virtual std::vector<Result<membrane::Membrane>> GetMembraneMany(
-      sentinel::Domain caller, const std::vector<RecordId>& ids) const;
-  virtual Status UpdateRow(sentinel::Domain caller, RecordId id,
-                           const db::Row& row) = 0;
-  virtual Status UpdateMembrane(sentinel::Domain caller, RecordId id,
-                                const membrane::Membrane& membrane) = 0;
-  virtual Status HardDelete(sentinel::Domain caller, RecordId id) = 0;
-  virtual Status ReplaceWithEnvelope(sentinel::Domain caller, RecordId id,
-                                     ByteSpan envelope) = 0;
-  virtual Result<Bytes> GetEnvelope(sentinel::Domain caller,
-                                    RecordId id) const = 0;
-
-  // ---- queries --------------------------------------------------------------
-  virtual Result<std::vector<RecordId>> RecordsOfType(
-      sentinel::Domain caller, std::string_view type) const = 0;
-  virtual Result<std::vector<RecordId>> RecordsOfSubject(
-      sentinel::Domain caller, SubjectId subject) const = 0;
-  /// Paged subject enumeration: up to `limit` subject ids STRICTLY
-  /// GREATER than `after`, ascending — across every shard when sharded.
-  /// The retention sweeper's cursor primitive. An empty result means the
-  /// cursor passed the last subject (wrap to `after = 0` for a new
-  /// cycle).
-  virtual Result<std::vector<SubjectId>> SubjectsAfter(
-      sentinel::Domain caller, SubjectId after, std::size_t limit) const = 0;
-  virtual Result<std::vector<RecordId>> CopyGroupMembers(
-      sentinel::Domain caller, std::uint64_t group) const = 0;
-  virtual Result<SubjectExport> ExportSubject(sentinel::Domain caller,
-                                              SubjectId subject) const = 0;
-
-  /// Fresh copy-group id for a newly collected record. Lock-free.
-  virtual std::uint64_t NewCopyGroup() = 0;
-
-  // ---- decoded-record cache -------------------------------------------------
-  /// Attach the decoded-record cache (see record_cache.hpp for the
-  /// generation protocol). Boot-time only: must not race record traffic.
-  /// `capacity` == 0 leaves caching off (the historical read path).
-  virtual void EnableRecordCache(std::size_t capacity) = 0;
-  /// Null when caching is off. Sharded: shard 0's cache (each shard owns
-  /// an independent cache + generation domain). Tests/introspection.
-  [[nodiscard]] virtual RecordCache* record_cache() = 0;
-  /// Decoded records held across EVERY shard's cache (0 when caching is
-  /// off) — the shard-count-invariant warmth signal for tests.
-  [[nodiscard]] virtual std::size_t cached_record_count() const = 0;
-  /// Mutation generation of the subject's shard. Every acknowledged
-  /// membrane/row mutation advances it by 2; an unchanged value between
-  /// two reads proves no mutation of that subject's shard was
-  /// acknowledged in between (caching on or off).
-  [[nodiscard]] virtual std::uint64_t SubjectGeneration(
-      SubjectId subject) const = 0;
-
-  /// Inode reserved for the (hash-chained) processing log. Lives on the
-  /// (first) DBFS store: the log names subjects and purposes, so it must
-  /// not be readable through the NPD filesystem.
-  [[nodiscard]] virtual inodefs::InodeId processing_log_inode() const = 0;
-
-  /// Inode reserved for the durable audit pipeline's segment manifest
-  /// (same confidentiality argument as the processing log).
-  [[nodiscard]] virtual inodefs::InodeId audit_manifest_inode() const = 0;
-
-  // ---- stats ----------------------------------------------------------------
-  virtual Result<SensitivityReport> ReportSensitivity(
-      sentinel::Domain caller) const = 0;
-  [[nodiscard]] virtual std::size_t record_count() const = 0;
-  [[nodiscard]] virtual std::size_t subject_count() const = 0;
-  /// The (first) backing store — the one holding the processing log.
-  [[nodiscard]] virtual inodefs::InodeStore& store() = 0;
+/// Sensitivity segregation report (paper §2: "sensitive data … be
+/// stored separately from less sensitive data"): live record counts per
+/// sensitivity level and per type, for the sysadmin/regulator.
+struct SensitivityReport {
+  std::array<std::size_t, 3> by_level{};  ///< [low, medium, high]
+  std::map<std::string, std::size_t> high_by_type;
 };
 
 class ShardedDbfs;  // fwd (sharded_dbfs.hpp); befriended for ungated fan-out
 
-class Dbfs final : public DbfsApi {
+/// One store's filesystem. The machine boots N >= 1 of them behind the
+/// ShardedDbfs facade (sharded_dbfs.hpp), which is what every consumer
+/// sees; standalone, it is driven by its own tests and examples.
+class Dbfs final {
  public:
   /// Format the store as an empty DBFS and mount it. When
   /// `sensitive_store` is non-null, records of high-sensitivity types
@@ -222,11 +128,10 @@ class Dbfs final : public DbfsApi {
 
   // ---- schema tree (sysadmin surface) ---------------------------------------
 
-  Status CreateType(sentinel::Domain caller,
-                    const dsl::TypeDecl& decl) override;
+  Status CreateType(sentinel::Domain caller, const dsl::TypeDecl& decl);
   Result<const dsl::TypeDecl*> GetType(sentinel::Domain caller,
-                                       std::string_view name) const override;
-  [[nodiscard]] std::vector<std::string> TypeNames() const override;
+                                       std::string_view name) const;
+  [[nodiscard]] std::vector<std::string> TypeNames() const;
 
   // ---- record surface (DED only) --------------------------------------------
 
@@ -235,12 +140,12 @@ class Dbfs final : public DbfsApi {
   /// there is no membrane-less insertion path at all).
   Result<RecordId> Put(sentinel::Domain caller, SubjectId subject,
                        std::string_view type_name, const db::Row& row,
-                       membrane::Membrane membrane) override;
-  Result<PdRecord> Get(sentinel::Domain caller, RecordId id) const override;
+                       membrane::Membrane membrane);
+  Result<PdRecord> Get(sentinel::Domain caller, RecordId id) const;
   /// Membrane-only fetch — the DED's ded_load_membrane step reads this
   /// BEFORE any PD bytes leave the store.
   Result<membrane::Membrane> GetMembrane(sentinel::Domain caller,
-                                         RecordId id) const override;
+                                         RecordId id) const;
   /// Optimistic batched reads: record-cache hits are served per id, the
   /// misses' inodes go to InodeStore::ReadAllBatch in one amortised
   /// submission, and each result is validated against the subject's
@@ -249,96 +154,83 @@ class Dbfs final : public DbfsApi {
   /// always ones a plain Get at some point during the call could have
   /// returned.
   std::vector<Result<PdRecord>> GetMany(
-      sentinel::Domain caller,
-      const std::vector<RecordId>& ids) const override;
+      sentinel::Domain caller, const std::vector<RecordId>& ids) const;
   std::vector<Result<membrane::Membrane>> GetMembraneMany(
-      sentinel::Domain caller,
-      const std::vector<RecordId>& ids) const override;
-  Status UpdateRow(sentinel::Domain caller, RecordId id,
-                   const db::Row& row) override;
+      sentinel::Domain caller, const std::vector<RecordId>& ids) const;
+  Status UpdateRow(sentinel::Domain caller, RecordId id, const db::Row& row);
   Status UpdateMembrane(sentinel::Domain caller, RecordId id,
-                        const membrane::Membrane& membrane) override;
+                        const membrane::Membrane& membrane);
 
   /// Physical destruction: scrub the record's blocks, then scrub the
   /// journal history. After this returns no plaintext byte of the record
   /// survives anywhere on the device (invariant E8's hard-delete arm).
-  Status HardDelete(sentinel::Domain caller, RecordId id) override;
+  Status HardDelete(sentinel::Domain caller, RecordId id);
 
   /// Crypto-erasure: replace the row bytes with `envelope` (sealed to the
   /// authority), revoke all consents, scrub old blocks + journal.
   Status ReplaceWithEnvelope(sentinel::Domain caller, RecordId id,
-                             ByteSpan envelope) override;
+                             ByteSpan envelope);
   /// Raw envelope bytes of an erased record (authority recovery path).
-  Result<Bytes> GetEnvelope(sentinel::Domain caller,
-                            RecordId id) const override;
+  Result<Bytes> GetEnvelope(sentinel::Domain caller, RecordId id) const;
 
   // ---- queries ---------------------------------------------------------------
 
   Result<std::vector<RecordId>> RecordsOfType(
-      sentinel::Domain caller, std::string_view type) const override;
+      sentinel::Domain caller, std::string_view type) const;
   Result<std::vector<RecordId>> RecordsOfSubject(
-      sentinel::Domain caller, SubjectId subject) const override;
+      sentinel::Domain caller, SubjectId subject) const;
   /// Paged subject enumeration: up to `limit` subject ids STRICTLY
   /// GREATER than `after`, ascending. The retention sweeper's cursor
   /// primitive — an incremental scan that never holds the index lock
   /// across more than one page. An empty result means the cursor passed
   /// the last subject (wrap to `after = 0` to start a new cycle).
   Result<std::vector<SubjectId>> SubjectsAfter(
-      sentinel::Domain caller, SubjectId after,
-      std::size_t limit) const override;
+      sentinel::Domain caller, SubjectId after, std::size_t limit) const;
   /// All records sharing a copy group (membrane-consistency propagation).
   Result<std::vector<RecordId>> CopyGroupMembers(
-      sentinel::Domain caller, std::uint64_t group) const override;
+      sentinel::Domain caller, std::uint64_t group) const;
   Result<SubjectExport> ExportSubject(sentinel::Domain caller,
-                                      SubjectId subject) const override;
-
-  /// Fresh copy-group id for a newly collected record. Lock-free.
-  std::uint64_t NewCopyGroup() override {
-    return next_copy_group_.fetch_add(ids_.stride, std::memory_order_relaxed);
-  }
+                                      SubjectId subject) const;
 
   // ---- decoded-record cache ---------------------------------------------------
 
   /// Attach the decoded-record cache (see record_cache.hpp for the
   /// generation protocol). Boot-time only: must not race record traffic.
   /// `capacity` == 0 leaves caching off (the historical read path).
-  void EnableRecordCache(std::size_t capacity) override;
+  void EnableRecordCache(std::size_t capacity);
   /// Null when caching is off. Exposed for tests and introspection.
-  [[nodiscard]] RecordCache* record_cache() override {
+  [[nodiscard]] RecordCache* record_cache() {
     return record_cache_.get();
   }
-  [[nodiscard]] std::size_t cached_record_count() const override {
+  [[nodiscard]] std::size_t cached_record_count() const {
     return record_cache_ == nullptr ? 0 : record_cache_->size();
   }
   /// Mutation generation of the subject's shard. Every acknowledged
   /// membrane/row mutation advances it by 2 (odd while in flight).
   /// Backed by the shard seqlock, so it works with caching off too —
   /// the DED's execute-time freshness check relies on that.
-  [[nodiscard]] std::uint64_t SubjectGeneration(
-      SubjectId subject) const override {
+  [[nodiscard]] std::uint64_t SubjectGeneration(SubjectId subject) const {
     return ShardGen(subject).load(std::memory_order_acquire);
   }
 
   /// Inode reserved for the (hash-chained) processing log. Lives on the
   /// DBFS store: the log names subjects and purposes, so it must not be
   /// readable through the NPD filesystem.
-  [[nodiscard]] inodefs::InodeId processing_log_inode() const override {
+  [[nodiscard]] inodefs::InodeId processing_log_inode() const {
     return processing_log_inode_;
   }
 
   /// Inode reserved for the durable audit pipeline's segment manifest.
-  [[nodiscard]] inodefs::InodeId audit_manifest_inode() const override {
+  [[nodiscard]] inodefs::InodeId audit_manifest_inode() const {
     return audit_manifest_inode_;
   }
 
   // ---- stats -----------------------------------------------------------------
 
-  Result<SensitivityReport> ReportSensitivity(
-      sentinel::Domain caller) const override;
+  Result<SensitivityReport> ReportSensitivity(sentinel::Domain caller) const;
 
-  [[nodiscard]] std::size_t record_count() const override;
-  [[nodiscard]] std::size_t subject_count() const override;
-  [[nodiscard]] inodefs::InodeStore& store() override { return *store_; }
+  [[nodiscard]] std::size_t record_count() const;
+  [[nodiscard]] std::size_t subject_count() const;
 
  private:
   /// ShardedDbfs gates fan-out operations ONCE at the facade and then

@@ -288,7 +288,7 @@ void ShardedDbfs::EnableRecordCache(std::size_t capacity) {
 
 // ---- stats ----------------------------------------------------------------
 
-Result<DbfsApi::SensitivityReport> ShardedDbfs::ReportSensitivity(
+Result<SensitivityReport> ShardedDbfs::ReportSensitivity(
     sentinel::Domain caller) const {
   RGPD_RETURN_IF_ERROR(
       Gate(caller, sentinel::Operation::kReadSchema, "sensitivity report"));

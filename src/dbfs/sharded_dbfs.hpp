@@ -1,6 +1,10 @@
-// ShardedDbfs — N independent single-store DBFS instances behind one
-// DbfsApi routing facade (ROADMAP open item 1: the storage spine for
-// millions of subjects).
+// ShardedDbfs — the machine's DBFS: N >= 1 independent single-store
+// Dbfs instances behind one routing facade. RgpdOs::Boot builds it at
+// every shard count, so every consumer (DED, rights engine, retention
+// sweeper, processing store, builtins, anonymizer) sees this class and
+// nothing else. At N = 1 the one shard mints ids IdAllocation{0, 1},
+// gets the whole record-cache budget and needs no catalog
+// reconciliation, so it behaves exactly like a standalone Dbfs.
 //
 // Partitioning. Subjects are routed by `subject % N`: one shard owns a
 // subject's whole subtree (records, membranes, exports, generations).
@@ -47,7 +51,7 @@
 
 namespace rgpdos::dbfs {
 
-class ShardedDbfs final : public DbfsApi {
+class ShardedDbfs final {
  public:
   /// Format every store as an empty shard (shard i gets stores[i] and
   /// id progression {i, N}) and assemble the facade. When
@@ -66,95 +70,98 @@ class ShardedDbfs final : public DbfsApi {
       const std::vector<inodefs::InodeStore*>& sensitive_stores = {});
 
   // ---- schema tree (replicated; facade-gated fan-out) -----------------------
-  Status CreateType(sentinel::Domain caller,
-                    const dsl::TypeDecl& decl) override;
+  Status CreateType(sentinel::Domain caller, const dsl::TypeDecl& decl);
   Result<const dsl::TypeDecl*> GetType(sentinel::Domain caller,
-                                       std::string_view name) const override;
-  [[nodiscard]] std::vector<std::string> TypeNames() const override;
+                                       std::string_view name) const;
+  [[nodiscard]] std::vector<std::string> TypeNames() const;
 
   // ---- record surface (routed to the owning shard) --------------------------
   Result<RecordId> Put(sentinel::Domain caller, SubjectId subject,
                        std::string_view type_name, const db::Row& row,
-                       membrane::Membrane membrane) override;
-  Result<PdRecord> Get(sentinel::Domain caller, RecordId id) const override;
+                       membrane::Membrane membrane);
+  Result<PdRecord> Get(sentinel::Domain caller, RecordId id) const;
   Result<membrane::Membrane> GetMembrane(sentinel::Domain caller,
-                                         RecordId id) const override;
-  /// Batched fetch, grouped by owning shard ((id-1) % N) so each shard
-  /// serves its ids through ONE amortised GetMany/GetMembraneMany call;
-  /// results scatter back into request order.
+                                         RecordId id) const;
+  /// Batched fetch: one Result per id, in order. Semantically identical
+  /// to calling Get/GetMembrane per id — same sentinel gating and audit
+  /// trail per record — but store IO is amortised across the batch: ids
+  /// are grouped by owning shard ((id-1) % N), each shard serves its ids
+  /// through ONE Dbfs::GetMany/GetMembraneMany call (a handful of batched
+  /// device submissions), and results scatter back into request order.
   std::vector<Result<PdRecord>> GetMany(
-      sentinel::Domain caller,
-      const std::vector<RecordId>& ids) const override;
+      sentinel::Domain caller, const std::vector<RecordId>& ids) const;
   std::vector<Result<membrane::Membrane>> GetMembraneMany(
-      sentinel::Domain caller,
-      const std::vector<RecordId>& ids) const override;
-  Status UpdateRow(sentinel::Domain caller, RecordId id,
-                   const db::Row& row) override;
+      sentinel::Domain caller, const std::vector<RecordId>& ids) const;
+  Status UpdateRow(sentinel::Domain caller, RecordId id, const db::Row& row);
   Status UpdateMembrane(sentinel::Domain caller, RecordId id,
-                        const membrane::Membrane& membrane) override;
-  Status HardDelete(sentinel::Domain caller, RecordId id) override;
+                        const membrane::Membrane& membrane);
+  Status HardDelete(sentinel::Domain caller, RecordId id);
   Status ReplaceWithEnvelope(sentinel::Domain caller, RecordId id,
-                             ByteSpan envelope) override;
-  Result<Bytes> GetEnvelope(sentinel::Domain caller,
-                            RecordId id) const override;
+                             ByteSpan envelope);
+  Result<Bytes> GetEnvelope(sentinel::Domain caller, RecordId id) const;
 
   // ---- queries --------------------------------------------------------------
   Result<std::vector<RecordId>> RecordsOfType(
-      sentinel::Domain caller, std::string_view type) const override;
+      sentinel::Domain caller, std::string_view type) const;
   Result<std::vector<RecordId>> RecordsOfSubject(
-      sentinel::Domain caller, SubjectId subject) const override;
-  /// Merged cursor: each shard contributes its own ascending page, the
-  /// facade k-way merges and truncates to `limit` — callers (retention
-  /// sweeper, rights export) observe exactly the single-store contract.
+      sentinel::Domain caller, SubjectId subject) const;
+  /// Paged subject enumeration: up to `limit` subject ids STRICTLY
+  /// GREATER than `after`, ascending, across every shard. The retention
+  /// sweeper's cursor primitive. An empty result means the cursor passed
+  /// the last subject (wrap to `after = 0` for a new cycle). Each shard
+  /// contributes its own ascending page; the facade merges and truncates
+  /// to `limit`.
   Result<std::vector<SubjectId>> SubjectsAfter(
-      sentinel::Domain caller, SubjectId after,
-      std::size_t limit) const override;
+      sentinel::Domain caller, SubjectId after, std::size_t limit) const;
   Result<std::vector<RecordId>> CopyGroupMembers(
-      sentinel::Domain caller, std::uint64_t group) const override;
+      sentinel::Domain caller, std::uint64_t group) const;
   Result<SubjectExport> ExportSubject(sentinel::Domain caller,
-                                      SubjectId subject) const override;
-
-  std::uint64_t NewCopyGroup() override {
-    // Shard 0's progression; any shard's ids are globally unique.
-    return shards_.front()->NewCopyGroup();
-  }
+                                      SubjectId subject) const;
 
   // ---- decoded-record cache -------------------------------------------------
+  /// Attach the decoded-record cache (see record_cache.hpp for the
+  /// generation protocol). Boot-time only: must not race record traffic.
   /// `capacity` is the TOTAL entry budget, split evenly across shards
-  /// (each shard keeps its own cache + generation domain).
-  void EnableRecordCache(std::size_t capacity) override;
-  [[nodiscard]] RecordCache* record_cache() override {
+  /// (each shard keeps its own cache + generation domain); 0 leaves
+  /// caching off.
+  void EnableRecordCache(std::size_t capacity);
+  /// Null when caching is off; otherwise shard 0's cache. Tests and
+  /// introspection.
+  [[nodiscard]] RecordCache* record_cache() {
     return shards_.front()->record_cache();
   }
-  [[nodiscard]] std::size_t cached_record_count() const override {
+  /// Decoded records held across EVERY shard's cache (0 when caching is
+  /// off) — the shard-count-invariant warmth signal for tests.
+  [[nodiscard]] std::size_t cached_record_count() const {
     std::size_t total = 0;
     for (const auto& shard : shards_) total += shard->cached_record_count();
     return total;
   }
-  [[nodiscard]] std::uint64_t SubjectGeneration(
-      SubjectId subject) const override {
+  /// Mutation generation of the subject's shard. Every acknowledged
+  /// membrane/row mutation advances it by 2; an unchanged value between
+  /// two reads proves no mutation of that subject's shard was
+  /// acknowledged in between (caching on or off).
+  [[nodiscard]] std::uint64_t SubjectGeneration(SubjectId subject) const {
     return ShardFor(subject).SubjectGeneration(subject);
   }
 
-  [[nodiscard]] inodefs::InodeId processing_log_inode() const override {
-    // The processing log lives on shard 0's store (one log per machine,
-    // exactly as in a single-store boot).
+  /// Inode reserved for the (hash-chained) processing log, on shard 0's
+  /// store: one log per machine. The log names subjects and purposes, so
+  /// it must not be readable through the NPD filesystem.
+  [[nodiscard]] inodefs::InodeId processing_log_inode() const {
     return shards_.front()->processing_log_inode();
   }
 
-  [[nodiscard]] inodefs::InodeId audit_manifest_inode() const override {
-    // Same placement as the processing log: shard 0's store.
+  /// Inode reserved for the durable audit pipeline's segment manifest
+  /// (same store and confidentiality argument as the processing log).
+  [[nodiscard]] inodefs::InodeId audit_manifest_inode() const {
     return shards_.front()->audit_manifest_inode();
   }
 
   // ---- stats ----------------------------------------------------------------
-  Result<SensitivityReport> ReportSensitivity(
-      sentinel::Domain caller) const override;
-  [[nodiscard]] std::size_t record_count() const override;
-  [[nodiscard]] std::size_t subject_count() const override;
-  [[nodiscard]] inodefs::InodeStore& store() override {
-    return shards_.front()->store();
-  }
+  Result<SensitivityReport> ReportSensitivity(sentinel::Domain caller) const;
+  [[nodiscard]] std::size_t record_count() const;
+  [[nodiscard]] std::size_t subject_count() const;
 
   // ---- sharding introspection -----------------------------------------------
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }

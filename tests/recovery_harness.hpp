@@ -26,12 +26,13 @@
 // plans, and exercises the transient-error retry path. Failures embed
 // FaultPlan::ToString() so a red run is reproducible from the message.
 //
-// Sharded mode (Options::shards > 1): the image is N independent media
-// behind a dbfs::ShardedDbfs facade, and the fault plan is installed on
-// ONE shard's medium (Options::faulted_shard) — the crash sweep then
-// proves that a crash on shard A never leaves shard B stale-visible or
-// the facade wedged: every shard's journal replays independently at
-// remount and the invariants hold across the union of media.
+// The image is N >= 1 independent media behind the dbfs::ShardedDbfs
+// facade, exactly as RgpdOs::Boot assembles it. With N > 1 the fault
+// plan is installed on ONE shard's medium (Options::faulted_shard) — the
+// crash sweep then proves that a crash on shard A never leaves shard B
+// stale-visible or the facade wedged: every shard's journal replays
+// independently at remount and the invariants hold across the union of
+// media.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +49,6 @@
 #include "blockdev/fault_injection.hpp"
 #include "common/clock.hpp"
 #include "core/retention.hpp"
-#include "dbfs/dbfs.hpp"
 #include "dbfs/sharded_dbfs.hpp"
 #include "dsl/parser.hpp"
 #include "sentinel/policy.hpp"
@@ -70,8 +70,7 @@ class CrashRecoveryHarness {
     /// RetentionSweeper reaps it — so the crash sweep also lands inside
     /// the sweeper's journaled hard-delete (RetentionRecovery.*).
     bool retention_sweep = false;
-    /// Number of independent store shards (1 = the classic single-store
-    /// harness; > 1 boots a ShardedDbfs over N media).
+    /// Number of independent store shards, one medium each.
     std::size_t shards = 1;
     /// Which shard's medium carries the fault plan in sharded mode.
     std::size_t faulted_shard = 0;
@@ -149,11 +148,11 @@ class CrashRecoveryHarness {
   };
 
   /// A mounted DBFS over borrowed devices: the stores (one per shard)
-  /// plus the API handle — a plain Dbfs at shards == 1, the ShardedDbfs
-  /// facade beyond (each shard's journal replays in its own Mount).
+  /// plus the facade over them (each shard's journal replays in its own
+  /// Mount).
   struct MountedFs {
     std::vector<std::unique_ptr<inodefs::InodeStore>> stores;
-    std::unique_ptr<dbfs::DbfsApi> fs;
+    std::unique_ptr<dbfs::ShardedDbfs> fs;
   };
 
   static constexpr std::string_view kTypeSource = R"(
@@ -197,7 +196,7 @@ type note {
     return devices;
   }
 
-  /// Mount (or format) one inode store per device and assemble the API.
+  /// Mount (or format) one inode store per device and assemble the facade.
   Result<MountedFs> OpenFs(const std::vector<blockdev::BlockDevice*>& devices,
                            bool format) {
     MountedFs out;
@@ -217,27 +216,15 @@ type note {
         out.stores.push_back(std::move(store));
       }
     }
-    if (devices.size() == 1) {
-      if (format) {
-        RGPD_ASSIGN_OR_RETURN(
-            out.fs,
-            dbfs::Dbfs::Format(out.stores[0].get(), &sentinel_, &clock_));
-      } else {
-        RGPD_ASSIGN_OR_RETURN(
-            out.fs,
-            dbfs::Dbfs::Mount(out.stores[0].get(), &sentinel_, &clock_));
-      }
+    std::vector<inodefs::InodeStore*> stores;
+    stores.reserve(out.stores.size());
+    for (const auto& s : out.stores) stores.push_back(s.get());
+    if (format) {
+      RGPD_ASSIGN_OR_RETURN(
+          out.fs, dbfs::ShardedDbfs::Format(stores, &sentinel_, &clock_));
     } else {
-      std::vector<inodefs::InodeStore*> stores;
-      stores.reserve(out.stores.size());
-      for (const auto& s : out.stores) stores.push_back(s.get());
-      if (format) {
-        RGPD_ASSIGN_OR_RETURN(
-            out.fs, dbfs::ShardedDbfs::Format(stores, &sentinel_, &clock_));
-      } else {
-        RGPD_ASSIGN_OR_RETURN(
-            out.fs, dbfs::ShardedDbfs::Mount(stores, &sentinel_, &clock_));
-      }
+      RGPD_ASSIGN_OR_RETURN(
+          out.fs, dbfs::ShardedDbfs::Mount(stores, &sentinel_, &clock_));
     }
     return out;
   }
@@ -274,7 +261,7 @@ type note {
     };
     RGPD_ASSIGN_OR_RETURN(MountedFs mounted,
                           OpenFs(devices, /*format=*/false));
-    dbfs::DbfsApi* fs = mounted.fs.get();
+    dbfs::ShardedDbfs* fs = mounted.fs.get();
     RGPD_ASSIGN_OR_RETURN(dsl::TypeDecl decl, dsl::ParseType(kTypeSource));
 
     const auto put = [&](dbfs::SubjectId subject, const std::string& author,
@@ -418,12 +405,12 @@ type note {
     }
 
     // I1: the image mounts — every shard's journal replays in its own
-    // InodeStore::Mount, then the (Sharded)Dbfs walk rebuilds the index.
+    // InodeStore::Mount, then each shard's Dbfs walk rebuilds its index.
     auto mounted = OpenFs(devices, /*format=*/false);
     if (!mounted.ok()) {
       return Fail(plan, "remount: " + mounted.status().ToString());
     }
-    dbfs::DbfsApi* fs = mounted->fs.get();
+    dbfs::ShardedDbfs* fs = mounted->fs.get();
 
     // I2: acked live records are intact, byte for byte. An erasure in
     // flight at the crash is checked separately below: its commit may

@@ -2,7 +2,7 @@
 // crash-at-write-N over EVERY write index of the mixed PD workload (in
 // clean-crash, torn-write and volatile-write-back modes), exercises the
 // transient-IO retry path, replays seeded CI fault plans, and drives the
-// RgpdOs boot-time recovery entry point (attach_dbfs_device).
+// RgpdOs boot-time recovery entry point (attach_dbfs_devices).
 //
 // On failure the offending FaultPlan is written to
 // $RGPD_FAULT_ARTIFACT_DIR (or /tmp) so CI can upload it; re-running the
@@ -13,6 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -194,7 +197,7 @@ TEST(CrashRecovery, SeededPlanFromEnv) {
   }
 }
 
-// ---- boot-time recovery (RgpdOs::Boot + attach_dbfs_device) -----------------
+// ---- boot-time recovery (RgpdOs::Boot + attach_dbfs_devices) ----------------
 
 constexpr std::string_view kBootType = R"(
 type note {
@@ -205,50 +208,51 @@ type note {
 }
 )";
 
-/// Format a DBFS image on `medium` and return the declared type.
-Result<dsl::TypeDecl> FormatBootImage(blockdev::BlockDevice& medium,
-                                      const Clock& clock,
-                                      sentinel::Sentinel& sentinel) {
+/// Format a DBFS image across `media` (one shard each) and return the
+/// declared type.
+Result<dsl::TypeDecl> FormatBootImage(
+    const std::vector<blockdev::BlockDevice*>& media, const Clock& clock,
+    sentinel::Sentinel& sentinel) {
   inodefs::InodeStore::Options options;
   options.inode_count = 96;
   options.journal_blocks = 64;
-  RGPD_ASSIGN_OR_RETURN(
-      auto store, inodefs::InodeStore::Format(&medium, options, &clock));
+  std::vector<std::unique_ptr<inodefs::InodeStore>> owned;
+  std::vector<inodefs::InodeStore*> stores;
+  for (blockdev::BlockDevice* medium : media) {
+    RGPD_ASSIGN_OR_RETURN(
+        auto store, inodefs::InodeStore::Format(medium, options, &clock));
+    stores.push_back(store.get());
+    owned.push_back(std::move(store));
+  }
   RGPD_ASSIGN_OR_RETURN(auto fs,
-                        dbfs::Dbfs::Format(store.get(), &sentinel, &clock));
+                        dbfs::ShardedDbfs::Format(stores, &sentinel, &clock));
   RGPD_ASSIGN_OR_RETURN(dsl::TypeDecl decl, dsl::ParseType(kBootType));
   RGPD_RETURN_IF_ERROR(fs->CreateType(sentinel::Domain::kSysadmin, decl));
-  RGPD_RETURN_IF_ERROR(store->Sync());
+  for (const auto& store : owned) RGPD_RETURN_IF_ERROR(store->Sync());
   return decl;
 }
 
-/// Unsets the RGPDOS_FAULT_* variables for its lifetime and restores
-/// them afterwards. Boot lets those variables override a config's fault
-/// plan, so a test that plans its own crash points holds one of these
-/// around its boots to keep a seeded plan from replacing them.
+/// Unsets RGPDOS_FAULT_SEED for its lifetime and restores it afterwards.
+/// Boot derives a fault plan from that variable, so a test that plans
+/// its own crash points (or none) holds one of these around its boots to
+/// keep a seeded plan from replacing them.
 class ScopedFaultEnvCleared {
  public:
   ScopedFaultEnvCleared() {
-    for (const char* name : kNames) {
-      if (const char* value = std::getenv(name); value != nullptr) {
-        saved_.emplace_back(name, value);
-      }
-      unsetenv(name);
+    if (const char* value = std::getenv(kName); value != nullptr) {
+      saved_ = value;
     }
+    unsetenv(kName);
   }
   ~ScopedFaultEnvCleared() {
-    for (const auto& [name, value] : saved_) {
-      setenv(name.c_str(), value.c_str(), /*overwrite=*/1);
-    }
+    if (saved_.has_value()) setenv(kName, saved_->c_str(), /*overwrite=*/1);
   }
   ScopedFaultEnvCleared(const ScopedFaultEnvCleared&) = delete;
   ScopedFaultEnvCleared& operator=(const ScopedFaultEnvCleared&) = delete;
 
  private:
-  static constexpr const char* kNames[] = {
-      "RGPDOS_FAULT_SEED", "RGPDOS_FAULT_CRASH_AT", "RGPDOS_FAULT_TORN_BYTES",
-      "RGPDOS_FAULT_WRITEBACK", "RGPDOS_FAULT_TRANSIENT_EVERY"};
-  std::vector<std::pair<std::string, std::string>> saved_;
+  static constexpr const char* kName = "RGPDOS_FAULT_SEED";
+  std::optional<std::string> saved_;
 };
 
 TEST(BootRecovery, AttachedDeviceCrashesAndRebootRecovers) {
@@ -260,7 +264,7 @@ TEST(BootRecovery, AttachedDeviceCrashesAndRebootRecovers) {
   sentinel::Sentinel sentinel(sentinel::SecurityPolicy::RgpdDefault(),
                               &clock, &audit);
   blockdev::MemBlockDevice medium(4096, 2048);
-  auto decl = FormatBootImage(medium, clock, sentinel);
+  auto decl = FormatBootImage({&medium}, clock, sentinel);
   ASSERT_TRUE(decl.ok()) << decl.status().ToString();
 
   // Phase 1: boot attached to the image with a crash planned, write
@@ -269,7 +273,7 @@ TEST(BootRecovery, AttachedDeviceCrashesAndRebootRecovers) {
     core::BootConfig config;
     config.use_sim_clock = true;
     config.authority_key_bits = 512;
-    config.attach_dbfs_device = &medium;
+    config.attach_dbfs_devices = {&medium};
     config.fault_inject = true;
     config.fault_plan.crash_at_write = crash_at;
     auto os = core::RgpdOs::Boot(config);
@@ -304,7 +308,7 @@ TEST(BootRecovery, AttachedDeviceCrashesAndRebootRecovers) {
     core::BootConfig reboot;
     reboot.use_sim_clock = true;
     reboot.authority_key_bits = 512;
-    reboot.attach_dbfs_device = &medium;
+    reboot.attach_dbfs_devices = {&medium};
     auto rebooted = core::RgpdOs::Boot(reboot);
     ASSERT_TRUE(rebooted.ok()) << "crash_at=" << crash_at << ": "
                                << rebooted.status().ToString();
@@ -329,10 +333,86 @@ TEST(BootRecovery, AttachedDeviceCrashesAndRebootRecovers) {
 TEST(BootRecovery, AttachRejectsSplitSensitive) {
   blockdev::MemBlockDevice medium(4096, 256);
   core::BootConfig config;
-  config.attach_dbfs_device = &medium;
+  config.attach_dbfs_devices = {&medium};
   config.split_sensitive = true;
   auto os = core::RgpdOs::Boot(config);
   EXPECT_EQ(os.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BootRecovery, ShardedImageRebootsThroughBoot) {
+  // Both boots run fault-free; the recovery CI job's RGPDOS_FAULT_SEED
+  // must not plant a crash in them.
+  const ScopedFaultEnvCleared no_fault_plan;
+  SimClock clock(1000);
+  sentinel::AuditSink audit;
+  sentinel::Sentinel sentinel(sentinel::SecurityPolicy::RgpdDefault(),
+                              &clock, &audit);
+  std::vector<std::unique_ptr<blockdev::MemBlockDevice>> media;
+  std::vector<blockdev::BlockDevice*> devices;
+  for (int i = 0; i < 4; ++i) {
+    media.push_back(std::make_unique<blockdev::MemBlockDevice>(4096, 2048));
+    devices.push_back(media.back().get());
+  }
+  auto decl = FormatBootImage(devices, clock, sentinel);
+  ASSERT_TRUE(decl.ok()) << decl.status().ToString();
+
+  core::BootConfig config;
+  config.use_sim_clock = true;
+  config.authority_key_bits = 512;
+  config.attach_dbfs_devices = devices;
+  config.shards = 4;
+  const auto note = [&](core::RgpdOs& os, dbfs::SubjectId subject,
+                        const std::string& text) {
+    return os.dbfs().Put(
+        sentinel::Domain::kDed, subject, "note",
+        db::Row{db::Value(std::string("ann")), db::Value(text)},
+        decl->DefaultMembrane(subject, os.clock().Now()));
+  };
+
+  // First boot: one record for each of subjects 1-8 (two per shard) and
+  // one acknowledged consent withdrawal, then an orderly teardown.
+  std::map<dbfs::RecordId, std::string> acked;
+  dbfs::RecordId revoked = 0;
+  {
+    auto os = core::RgpdOs::Boot(config);
+    ASSERT_TRUE(os.ok()) << os.status().ToString();
+    ASSERT_EQ((*os)->shard_count(), 4u);
+    for (dbfs::SubjectId subject = 1; subject <= 8; ++subject) {
+      const std::string text = "note of " + std::to_string(subject);
+      auto id = note(**os, subject, text);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      acked[*id] = text;
+    }
+    revoked = acked.begin()->first;
+    ASSERT_TRUE((*os)->builtins()
+                    .RevokeConsent(core::PdRef{revoked, "note"}, "reading")
+                    .ok());
+  }
+
+  // Reboot attached to the same four media: every acknowledged record
+  // and consent state reads back, and each shard takes new writes.
+  auto rebooted = core::RgpdOs::Boot(config);
+  ASSERT_TRUE(rebooted.ok()) << rebooted.status().ToString();
+  dbfs::ShardedDbfs& fs = (*rebooted)->dbfs();
+  EXPECT_EQ(fs.record_count(), acked.size());
+  for (const auto& [id, text] : acked) {
+    auto rec = fs.Get(sentinel::Domain::kDed, id);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_EQ(rec->row.size(), 2u);
+    EXPECT_EQ(*rec->row[1].AsString(), text);
+    const auto consent = rec->membrane.consents.find("reading");
+    const bool withdrawn = consent == rec->membrane.consents.end() ||
+                           consent->second.kind == membrane::ConsentKind::kNone;
+    EXPECT_EQ(withdrawn, id == revoked) << "record " << id;
+  }
+  std::set<std::size_t> shards_written;
+  for (dbfs::SubjectId subject = 9; subject <= 12; ++subject) {
+    auto id = note(**rebooted, subject, "post-reboot");
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_TRUE(fs.Get(sentinel::Domain::kDed, *id).ok());
+    shards_written.insert(fs.ShardIndexOfRecord(*id));
+  }
+  EXPECT_EQ(shards_written.size(), 4u);
 }
 
 TEST(BootRecovery, MountReportsRecoveryStats) {

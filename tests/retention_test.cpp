@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -74,7 +73,6 @@ class RetentionTest : public ::testing::Test {
  protected:
   static std::unique_ptr<core::RgpdOs> BootWorld(
       const core::BootConfig& base = {}) {
-    unsetenv("RGPDOS_RETENTION");
     core::BootConfig config = base;
     config.seed = 7;
     config.use_sim_clock = true;
@@ -332,30 +330,6 @@ TEST_F(RetentionTest, BootedDaemonReapsInBackground) {
   EXPECT_FALSE(*PdMediumContains(*os, "PD_TTL_MARKER_DAEMON"));
   os->retention().Stop();
   EXPECT_FALSE(os->retention().running());
-}
-
-// RGPDOS_RETENTION env knob: 0 keeps the daemon off even when the config
-// enables it; N > 1 enables it with N pages per sweep.
-TEST_F(RetentionTest, EnvKnobOverridesBootConfig) {
-  {
-    setenv("RGPDOS_RETENTION", "0", 1);
-    core::BootConfig config;
-    config.seed = 7;
-    config.retention_enabled = true;
-    auto os = core::RgpdOs::Boot(config);
-    ASSERT_TRUE(os.ok());
-    EXPECT_FALSE((*os)->retention().running());
-  }
-  {
-    setenv("RGPDOS_RETENTION", "16", 1);
-    core::BootConfig config;
-    config.seed = 7;
-    auto os = core::RgpdOs::Boot(config);
-    ASSERT_TRUE(os.ok());
-    EXPECT_TRUE((*os)->retention().running());
-    EXPECT_EQ((*os)->retention().options().pages_per_sweep, 16u);
-  }
-  unsetenv("RGPDOS_RETENTION");
 }
 
 // ttl == 0 means "no retention bound": the sweeper never touches it no

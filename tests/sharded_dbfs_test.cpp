@@ -505,25 +505,32 @@ TEST(ShardInvarianceTest, SameWorkloadSameWorldAtOneAndFourShards) {
   EXPECT_EQ(one->audit, four->audit) << "audit tallies diverge";
 }
 
-TEST(ShardInvarianceTest, AttachRejectsMultiShardBoot) {
-  // One attached image is one shard: shards > 1 must be a loud boot
-  // error, not a silent misboot (satellite: attach_dbfs_device routes to
-  // shard 0 with a single-shard requirement).
-  // The config check fires before the device is touched, so an
-  // unformatted medium suffices.
-  blockdev::MemBlockDevice medium(512, 4096);
+TEST(ShardInvarianceTest, AttachRejectsShardDeviceCountMismatch) {
+  // Attach mode boots one shard per medium: a shard count that differs
+  // from the device count must be a loud boot error, not a silent
+  // re-partition of someone's media. The check fires before any device
+  // is touched, so unformatted media suffice.
+  blockdev::MemBlockDevice a(512, 4096);
+  blockdev::MemBlockDevice b(512, 4096);
   core::BootConfig config;
   config.use_sim_clock = true;
   config.authority_key_bits = 1024;
   config.block_size = 512;
   config.inode_count = 256;
   config.journal_blocks = 64;
-  config.attach_dbfs_device = &medium;
+  for (const std::size_t shards : {1u, 3u}) {
+    config.attach_dbfs_devices = {&a, &b};
+    config.shards = shards;
+    auto os = core::RgpdOs::Boot(config);
+    ASSERT_FALSE(os.ok()) << "shards=" << shards;
+    EXPECT_EQ(os.status().code(), StatusCode::kInvalidArgument)
+        << os.status().ToString();
+  }
+  config.attach_dbfs_devices = {&a};
   config.shards = 2;
   auto os = core::RgpdOs::Boot(config);
   ASSERT_FALSE(os.ok());
-  EXPECT_EQ(os.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(os.status().ToString().find("single-shard"), std::string::npos)
+  EXPECT_EQ(os.status().code(), StatusCode::kInvalidArgument)
       << os.status().ToString();
 }
 
