@@ -137,33 +137,31 @@ Result<membrane::Membrane> ShardedDbfs::GetMembrane(sentinel::Domain caller,
 namespace {
 /// Group a batch by owning shard, run `call` once per shard with that
 /// shard's ids, and scatter each shard's in-order results back to the
-/// original slots.
+/// original slots. One shard owns every id, so it gets the batch as is.
 template <typename T, typename Call>
 std::vector<Result<T>> FanOutBatch(std::size_t shard_count,
                                    const std::vector<RecordId>& ids,
                                    Call call) {
+  if (shard_count == 1) return call(0, ids);
+  // Record ids are minted from per-shard arithmetic progressions, so the
+  // owner is recoverable without a directory lookup. Id 0 is never
+  // minted; route it anywhere for its NotFound verdict.
+  const auto owner = [&](RecordId id) {
+    return id == 0 ? 0 : static_cast<std::size_t>((id - 1) % shard_count);
+  };
+  std::vector<std::vector<RecordId>> shard_ids(shard_count);
+  for (RecordId id : ids) shard_ids[owner(id)].push_back(id);
+  std::vector<std::vector<Result<T>>> parts(shard_count);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    if (!shard_ids[s].empty()) parts[s] = call(s, shard_ids[s]);
+  }
+  // Each shard answered its ids in request order; deal them back out.
+  std::vector<std::size_t> next(shard_count, 0);
   std::vector<Result<T>> out;
   out.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    out.push_back(Internal("batch slot not filled"));
-  }
-  std::vector<std::vector<RecordId>> shard_ids(shard_count);
-  std::vector<std::vector<std::size_t>> shard_slots(shard_count);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    // Record ids are minted from per-shard arithmetic progressions, so
-    // the owner is recoverable without a directory lookup. Id 0 is
-    // never minted; route it anywhere for its NotFound verdict.
-    const std::size_t owner =
-        ids[i] == 0 ? 0 : static_cast<std::size_t>((ids[i] - 1) % shard_count);
-    shard_ids[owner].push_back(ids[i]);
-    shard_slots[owner].push_back(i);
-  }
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (shard_ids[s].empty()) continue;
-    std::vector<Result<T>> part = call(s, shard_ids[s]);
-    for (std::size_t k = 0; k < shard_slots[s].size(); ++k) {
-      out[shard_slots[s][k]] = std::move(part[k]);
-    }
+  for (RecordId id : ids) {
+    const std::size_t s = owner(id);
+    out.push_back(std::move(parts[s][next[s]++]));
   }
   return out;
 }

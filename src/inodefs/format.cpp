@@ -1,5 +1,6 @@
 #include "inodefs/format.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/crc32.hpp"
@@ -175,6 +176,50 @@ Result<Superblock> Superblock::Plan(std::uint32_t block_size,
         "device too small for requested inode table and journal");
   }
   return sb;
+}
+
+namespace {
+/// `word`, stored as word `w` of a bitmap, with every bit at or past
+/// `bit_count` cleared.
+std::uint64_t MaskTail(std::uint64_t word, std::uint64_t w,
+                       std::uint64_t bit_count) {
+  const std::uint64_t first_bit = w * 64;
+  if (first_bit + 64 <= bit_count) return word;
+  return word & ((std::uint64_t(1) << (bit_count - first_bit)) - 1);
+}
+}  // namespace
+
+Bytes EncodeBitmapBlock(const std::vector<std::uint64_t>& words,
+                        std::uint64_t bit_count, std::uint32_t block_size,
+                        std::uint64_t index) {
+  Bytes image(block_size, 0);
+  const std::uint64_t words_per_block = block_size / 8;
+  const std::uint64_t first = index * words_per_block;
+  const std::uint64_t last =
+      std::min<std::uint64_t>(first + words_per_block, (bit_count + 63) / 64);
+  for (std::uint64_t w = first; w < last; ++w) {
+    const std::uint64_t word = MaskTail(words[w], w, bit_count);
+    std::uint8_t* out = image.data() + (w - first) * 8;
+    for (int k = 0; k < 8; ++k) {
+      out[k] = static_cast<std::uint8_t>(word >> (8 * k));
+    }
+  }
+  return image;
+}
+
+void DecodeBitmapBlock(ByteSpan image, std::uint64_t bit_count,
+                       std::uint64_t index,
+                       std::vector<std::uint64_t>& words) {
+  const std::uint64_t words_per_block = image.size() / 8;
+  const std::uint64_t first = index * words_per_block;
+  const std::uint64_t last =
+      std::min<std::uint64_t>(first + words_per_block, (bit_count + 63) / 64);
+  for (std::uint64_t w = first; w < last; ++w) {
+    const std::uint8_t* in = image.data() + (w - first) * 8;
+    std::uint64_t word = 0;
+    for (int k = 0; k < 8; ++k) word |= std::uint64_t(in[k]) << (8 * k);
+    words[w] = MaskTail(word, w, bit_count);
+  }
 }
 
 }  // namespace rgpdos::inodefs

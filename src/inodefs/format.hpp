@@ -113,4 +113,22 @@ struct Superblock {
                                  std::uint64_t journal_blocks);
 };
 
+/// Allocation-bitmap encoding. In memory the bitmap is a word array: bit
+/// b is bit b % 64 of word b / 64. On the medium bit b is bit b % 8 of
+/// byte b / 8 of the bitmap region, so each word is stored as 8
+/// little-endian bytes. Both directions move a word at a time with
+/// shifts, independent of host byte order; bits at or past `bit_count`
+/// read and write as 0.
+///
+/// Image of bitmap block `index` (`block_size` bytes) from `words`.
+[[nodiscard]] Bytes EncodeBitmapBlock(const std::vector<std::uint64_t>& words,
+                                      std::uint64_t bit_count,
+                                      std::uint32_t block_size,
+                                      std::uint64_t index);
+/// Store bitmap block `index`'s bits, read from `image`, into `words`
+/// (which holds (bit_count + 63) / 64 words).
+void DecodeBitmapBlock(ByteSpan image, std::uint64_t bit_count,
+                       std::uint64_t index,
+                       std::vector<std::uint64_t>& words);
+
 }  // namespace rgpdos::inodefs

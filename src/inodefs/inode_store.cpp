@@ -107,6 +107,8 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Format(
   // Mark all metadata blocks (including block 0) as used.
   for (BlockIndex b = 0; b < sb.data_start; ++b) store->BitmapSet(b, true);
   store->alloc_hint_ = sb.data_start;
+  store->inode_map_.assign((sb.inode_count + 63) / 64, 0);
+  store->InodeMapSet(kInvalidInode, true);
 
   RGPD_RETURN_IF_ERROR(store->Sync());
   return store;
@@ -169,23 +171,39 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Mount(
                       store->recovery_.replay.stale_txns);
   RGPD_RETURN_IF_ERROR(store->LoadBitmap());
   store->alloc_hint_ = store->sb_.data_start;
+  RGPD_RETURN_IF_ERROR(store->LoadInodeMap());
   return store;
 }
 
 Status InodeStore::LoadBitmap() {
   bitmap_.assign((sb_.block_count + 63) / 64, 0);
   Bytes block;
-  std::size_t bit = 0;
-  for (std::uint64_t i = 0; i < sb_.bitmap_blocks && bit < sb_.block_count;
-       ++i) {
+  for (std::uint64_t i = 0; i < sb_.bitmap_blocks; ++i) {
     RGPD_RETURN_IF_ERROR(DevRead(sb_.bitmap_start + i, block));
-    for (std::uint32_t j = 0; j < sb_.block_size && bit < sb_.block_count;
-         ++j) {
-      for (int k = 0; k < 8 && bit < sb_.block_count; ++k, ++bit) {
-        if (block[j] & (1u << k)) {
-          bitmap_[bit / 64] |= std::uint64_t(1) << (bit % 64);
-        }
-      }
+    DecodeBitmapBlock(block, sb_.block_count, i, bitmap_);
+  }
+  return Status::Ok();
+}
+
+Status InodeStore::LoadInodeMap() {
+  // Runs after replay, so the table holds every committed slot change.
+  std::vector<BlockIndex> table(sb_.inode_table_blocks);
+  for (std::uint64_t i = 0; i < table.size(); ++i) {
+    table[i] = sb_.inode_table_start + i;
+  }
+  std::vector<Bytes> images;
+  RGPD_RETURN_IF_ERROR(DevReadBatch(table, images));
+  inode_map_.assign((sb_.inode_count + 63) / 64, 0);
+  InodeMapSet(kInvalidInode, true);
+  for (InodeId id = 1; id < sb_.inode_count; ++id) {
+    // The kind is the first byte of the slot (see Inode::Encode).
+    const std::uint8_t kind =
+        images[InodeBlock(id) - sb_.inode_table_start][InodeOffset(id)];
+    if (kind > static_cast<std::uint8_t>(InodeKind::kFormatHint)) {
+      return Corruption("inode table holds an unknown inode kind");
+    }
+    if (kind != static_cast<std::uint8_t>(InodeKind::kFree)) {
+      InodeMapSet(id, true);
     }
   }
   return Status::Ok();
@@ -206,16 +224,9 @@ Status InodeStore::Sync() {
   std::vector<blockdev::BatchWrite> batch;
   batch.reserve(1 + sb_.bitmap_blocks);
   images.push_back(std::move(sb_block));
-  std::size_t bit = 0;
   for (std::uint64_t i = 0; i < sb_.bitmap_blocks; ++i) {
-    Bytes block(sb_.block_size, 0);
-    for (std::uint32_t j = 0; j < sb_.block_size && bit < sb_.block_count;
-         ++j) {
-      for (int k = 0; k < 8 && bit < sb_.block_count; ++k, ++bit) {
-        if (BitmapGet(bit)) block[j] |= 1u << k;
-      }
-    }
-    images.push_back(std::move(block));
+    images.push_back(
+        EncodeBitmapBlock(bitmap_, sb_.block_count, sb_.block_size, i));
   }
   batch.push_back({0, ByteSpan(images[0].data(), images[0].size())});
   for (std::uint64_t i = 0; i < sb_.bitmap_blocks; ++i) {
@@ -230,8 +241,14 @@ Status InodeStore::Sync() {
 
 namespace {
 bool IsZero(const Bytes& data) {
-  for (std::uint8_t b : data) {
-    if (b != 0) return false;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data.data() + i, 8);
+    if (word != 0) return false;
+  }
+  for (; i < data.size(); ++i) {
+    if (data[i] != 0) return false;
   }
   return true;
 }
@@ -240,6 +257,13 @@ bool IsZero(const Bytes& data) {
 Result<Bytes> InodeStore::Txn::ReadBlock(BlockIndex index) {
   auto it = writes_.find(index);
   if (it != writes_.end()) return it->second;
+  // A block read once is pinned; nothing else can change it while the
+  // store mutex is held, so the pin is the current image.
+  auto pin = preimages_.find(index);
+  if (pin != preimages_.end() &&
+      pin->second.base == JournalWrite::kBaseDevice) {
+    return pin->second.data;
+  }
   Bytes out;
   RGPD_METRIC_COUNT("inodefs.block.reads");
   RGPD_RETURN_IF_ERROR(store_.ReadBlockCoherent(index, out));
@@ -436,6 +460,15 @@ Status InodeStore::GroupCommitScope::Finish() {
     store_.group_writes_.clear();
     store_.group_write_index_.clear();
     store_.group_preimages_.clear();
+    // Only now may the map name the group's freed slots as free; if the
+    // group did not commit, its allocations are free again instead.
+    for (InodeId id : status.ok() ? store_.group_frees_
+                                  : store_.group_allocs_) {
+      store_.InodeMapSet(id, false);
+      store_.inode_hint_ = std::min(store_.inode_hint_, id);
+    }
+    store_.group_allocs_.clear();
+    store_.group_frees_.clear();
   }
   store_.mu_.unlock();
   return status;
@@ -471,15 +504,9 @@ Status InodeStore::StageBitmapBlock(BlockIndex data_block, Txn& txn) {
     // Read it first so only the flipped bit's byte range gets logged.
     RGPD_RETURN_IF_ERROR(txn.ReadBlock(target).status());
   }
-  Bytes image(sb_.block_size, 0);
-  std::uint64_t bit = bitmap_block * bits_per_block;
-  for (std::uint32_t j = 0; j < sb_.block_size && bit < sb_.block_count;
-       ++j) {
-    for (int k = 0; k < 8 && bit < sb_.block_count; ++k, ++bit) {
-      if (BitmapGet(bit)) image[j] |= 1u << k;
-    }
-  }
-  return txn.WriteBlock(target, std::move(image));
+  return txn.WriteBlock(target, EncodeBitmapBlock(bitmap_, sb_.block_count,
+                                                  sb_.block_size,
+                                                  bitmap_block));
 }
 
 Result<BlockIndex> InodeStore::AllocDataBlock(Txn& txn) {
@@ -554,15 +581,44 @@ Status InodeStore::StoreInode(InodeId id, const Inode& inode, Txn& txn) {
   return txn.WriteBlock(InodeBlock(id), std::move(block));
 }
 
+InodeId InodeStore::NextFreeInode(InodeId from) const {
+  // One word at a time: the lowest clear bit of a word is the lowest set
+  // bit of its complement. Bits past inode_count stay clear, hence the
+  // final bound check.
+  for (std::size_t w = from / 64; w < inode_map_.size(); ++w) {
+    std::uint64_t free_bits = ~inode_map_[w];
+    if (w == from / 64) free_bits &= ~std::uint64_t(0) << (from % 64);
+    if (free_bits != 0) {
+      const std::uint64_t id = w * 64 + __builtin_ctzll(free_bits);
+      return static_cast<InodeId>(
+          std::min<std::uint64_t>(id, sb_.inode_count));
+    }
+  }
+  return sb_.inode_count;
+}
+
+void InodeStore::InodeMapSet(InodeId id, bool used) {
+  if (used) {
+    inode_map_[id / 64] |= std::uint64_t(1) << (id % 64);
+  } else {
+    inode_map_[id / 64] &= ~(std::uint64_t(1) << (id % 64));
+  }
+}
+
 Result<InodeId> InodeStore::AllocInode(InodeKind kind) {
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
   Txn txn(*this);
-  // First-fit from the hint (inode 0 is reserved as the invalid id);
-  // FreeInode moves the hint back, so the scan is amortised O(1).
-  for (InodeId id = std::max<InodeId>(inode_hint_, 1); id < sb_.inode_count;
-       ++id) {
+  // Lowest free slot from the hint, as a first-fit scan of the table
+  // would find it. The slot is still decoded under the txn for its
+  // generation; one that decodes live (a failed commit may have reached
+  // the medium after all) is marked and skipped, as the scan skipped it.
+  for (InodeId id = NextFreeInode(inode_hint_); id < sb_.inode_count;
+       id = NextFreeInode(id + 1)) {
     RGPD_ASSIGN_OR_RETURN(Inode inode, LoadInode(id, &txn));
-    if (inode.kind != InodeKind::kFree) continue;
+    if (inode.kind != InodeKind::kFree) {
+      InodeMapSet(id, true);
+      continue;
+    }
     const std::uint64_t generation = inode.generation + 1;
     inode = Inode{};
     inode.kind = kind;
@@ -571,6 +627,8 @@ Result<InodeId> InodeStore::AllocInode(InodeKind kind) {
     inode.ctime = inode.mtime = clock_->Now();
     RGPD_RETURN_IF_ERROR(StoreInode(id, inode, txn));
     RGPD_RETURN_IF_ERROR(txn.Commit());
+    InodeMapSet(id, true);
+    if (group_depth_ > 0) group_allocs_.push_back(id);
     inode_hint_ = id + 1;
     return id;
   }
@@ -588,6 +646,13 @@ Status InodeStore::FreeInode(InodeId id, bool scrub) {
   inode.generation = generation;
   RGPD_RETURN_IF_ERROR(StoreInode(id, inode, txn));
   RGPD_RETURN_IF_ERROR(txn.Commit());
+  // Inside a scope the free is only staged: the slot stays used in the
+  // map until the scope's Finish commits it.
+  if (group_depth_ > 0) {
+    group_frees_.push_back(id);
+  } else {
+    InodeMapSet(id, false);
+  }
   inode_hint_ = std::min(inode_hint_, id);
   return Status::Ok();
 }
@@ -595,13 +660,6 @@ Status InodeStore::FreeInode(InodeId id, bool scrub) {
 Result<Inode> InodeStore::GetInode(InodeId id) const {
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
   return LoadInode(id, nullptr);
-}
-
-Status InodeStore::PutInode(InodeId id, const Inode& inode) {
-  std::lock_guard<metrics::OrderedMutex> lock(mu_);
-  Txn txn(*this);
-  RGPD_RETURN_IF_ERROR(StoreInode(id, inode, txn));
-  return txn.Commit();
 }
 
 // ---- file block mapping ------------------------------------------------------
@@ -1113,12 +1171,11 @@ std::uint64_t InodeStore::FreeBlockCount() const {
 
 std::uint64_t InodeStore::FreeInodeCount() const {
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
-  std::uint64_t free_count = 0;
-  for (InodeId id = 1; id < sb_.inode_count; ++id) {
-    auto inode = LoadInode(id, nullptr);
-    if (inode.ok() && inode->kind == InodeKind::kFree) ++free_count;
+  std::uint64_t used = 0;
+  for (std::uint64_t word : inode_map_) {
+    used += static_cast<std::uint64_t>(__builtin_popcountll(word));
   }
-  return free_count;
+  return sb_.inode_count - used;
 }
 
 }  // namespace rgpdos::inodefs

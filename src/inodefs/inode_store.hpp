@@ -96,6 +96,9 @@ class InodeStore {
   Status Sync();
 
   // ---- inode lifecycle ----------------------------------------------------
+  /// Claim the lowest free inode slot at or above the allocation hint
+  /// (FreeInode lowers the hint), found in the in-memory free-inode map,
+  /// not by reading the inode table.
   Result<InodeId> AllocInode(InodeKind kind);
   /// Release the inode and its data blocks. With `scrub`, every data
   /// block is overwritten with zeros first (GDPR erasure path); without,
@@ -103,7 +106,6 @@ class InodeStore {
   /// criticises — old bytes stay on the medium and in the journal).
   Status FreeInode(InodeId id, bool scrub);
   Result<Inode> GetInode(InodeId id) const;
-  Status PutInode(InodeId id, const Inode& inode);
 
   // ---- file content IO ----------------------------------------------------
   Result<Bytes> ReadAt(InodeId id, std::uint64_t offset,
@@ -133,6 +135,9 @@ class InodeStore {
   void SetRootDir(InodeId root) { sb_.root_dir = root; }
   [[nodiscard]] blockdev::BlockDevice& device() { return *device_; }
   [[nodiscard]] std::uint64_t FreeBlockCount() const;
+  /// Free slots according to the free-inode map. Exact outside a
+  /// GroupCommitScope; inside one, slots the scope freed still count as
+  /// used until its Finish succeeds.
   [[nodiscard]] std::uint64_t FreeInodeCount() const;
   [[nodiscard]] const Journal& journal() const { return journal_; }
   /// Journal-recovery outcome of Mount(); zeros for a Format()ed store.
@@ -183,6 +188,8 @@ class InodeStore {
   class Txn {
    public:
     explicit Txn(InodeStore& store) : store_(store) {}
+    /// The txn's view of `index`: its own staged write, else the image it
+    /// pinned at first touch, else a coherent device read (which pins).
     Result<Bytes> ReadBlock(BlockIndex index);
     Status WriteBlock(BlockIndex index, Bytes data);
     Status Commit();
@@ -227,6 +234,14 @@ class InodeStore {
   Status LoadBitmap();
   Status CheckId(InodeId id) const;
 
+  // Free-inode map helpers.
+  /// Lowest slot in [from, inode_count) whose map bit is clear, or
+  /// inode_count if there is none.
+  [[nodiscard]] InodeId NextFreeInode(InodeId from) const;
+  void InodeMapSet(InodeId id, bool used);
+  /// Rebuild the map from the kind byte of every inode-table slot.
+  Status LoadInodeMap();
+
   blockdev::BlockDevice* device_;  // borrowed; outlives the store
   Superblock sb_;
   const Clock* clock_;             // borrowed
@@ -244,6 +259,12 @@ class InodeStore {
   std::map<BlockIndex, Bytes> uncheckpointed_;
   std::vector<std::uint64_t> bitmap_;  // 1 bit per device block
   BlockIndex alloc_hint_ = 0;
+  /// Free-inode map: 1 bit per inode slot, set = live (or the reserved
+  /// slot 0). It may name a free slot as used, never a live slot as free:
+  /// a bit changes once the slot's change has committed, and inside a
+  /// GroupCommitScope only as the scope's outcome allows (see
+  /// group_allocs_ / group_frees_).
+  std::vector<std::uint64_t> inode_map_;
   InodeId inode_hint_ = 1;  // lowest possibly-free inode slot
 
   /// Per-store lock; recursive so GroupCommitScope can hold it across
@@ -259,6 +280,11 @@ class InodeStore {
   /// staged a block saw it in its pre-group state, so its preimage is
   /// the right diff base for the combined group record.
   std::map<BlockIndex, Preimage> group_preimages_;
+  /// Slots the open scope allocated (their map bits are already set) and
+  /// freed (their bits stay set). The outermost Finish clears the frees'
+  /// bits if the group committed, and the allocations' bits if it did not.
+  std::vector<InodeId> group_allocs_;
+  std::vector<InodeId> group_frees_;
 
   void StageGroupWrite(BlockIndex block, const Bytes& data,
                        const Preimage* preimage);

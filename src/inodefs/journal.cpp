@@ -25,47 +25,6 @@ constexpr std::size_t kCrcSize = 4;
 // Per-block extent-group framing: block u64 | base u8 | extent_count u16.
 constexpr std::size_t kExtentGroupHeader = 8 + 1 + 2;
 constexpr std::size_t kExtentHeader = 4 + 4;  // offset u32 | len u32
-/// Two dirty runs closer than this are merged into one extent — eight
-/// bytes of extent header buy nothing on a sub-16-byte gap.
-constexpr std::size_t kExtentMergeGap = 16;
-
-struct Extent {
-  std::uint32_t offset = 0;
-  std::uint32_t len = 0;
-};
-
-/// Dirty ranges of `data` against `base` (same length), nearby runs
-/// merged. An identical block yields no extents.
-std::vector<Extent> DiffExtents(ByteSpan base, ByteSpan data) {
-  std::vector<Extent> extents;
-  const std::size_t n = data.size();
-  std::size_t i = 0;
-  while (i < n) {
-    if (base[i] == data[i]) {
-      ++i;
-      continue;
-    }
-    std::size_t end = i + 1;
-    std::size_t clean = 0;  // trailing equal bytes inside the run
-    while (end < n) {
-      if (base[end] == data[end]) {
-        if (++clean > kExtentMergeGap) {
-          ++end;  // count the byte just examined, so end - clean is the
-                  // exclusive end of the dirty run on both exit paths
-          break;
-        }
-      } else {
-        clean = 0;
-      }
-      ++end;
-    }
-    const std::size_t run_end = end - clean;
-    extents.push_back({static_cast<std::uint32_t>(i),
-                       static_cast<std::uint32_t>(run_end - i)});
-    i = end;
-  }
-  return extents;
-}
 
 /// One recovered block write: an extent group to reconstruct over its
 /// base.
@@ -124,6 +83,39 @@ metrics::Histogram& BytesPerCommitHistogram() {
 }
 
 }  // namespace
+
+std::vector<Extent> DiffExtents(ByteSpan base, ByteSpan data) {
+  const std::size_t n = data.size();
+  // First differing byte at or after `i`, or n. Equal 8-byte words are
+  // skipped whole; equality does not depend on the host byte order.
+  const auto next_dirty = [&](std::size_t i) {
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t a;
+      std::uint64_t b;
+      std::memcpy(&a, base.data() + i, 8);
+      std::memcpy(&b, data.data() + i, 8);
+      if (a != b) break;
+    }
+    while (i < n && base[i] == data[i]) ++i;
+    return i;
+  };
+  // An extent runs from a dirty byte to the last dirty byte before a gap
+  // of more than kExtentMergeGap equal bytes (or the end of the block).
+  std::vector<Extent> extents;
+  std::size_t start = next_dirty(0);
+  while (start < n) {
+    std::size_t last = start;
+    std::size_t next = next_dirty(last + 1);
+    while (next < n && next - last - 1 <= kExtentMergeGap) {
+      last = next;
+      next = next_dirty(last + 1);
+    }
+    extents.push_back({static_cast<std::uint32_t>(start),
+                       static_cast<std::uint32_t>(last + 1 - start)});
+    start = next;
+  }
+  return extents;
+}
 
 std::uint64_t Journal::RecordBlocks(std::size_t payload_size) const {
   const std::size_t total = kHeaderSize + payload_size + kCrcSize;
@@ -197,15 +189,14 @@ Status Journal::AppendTransaction(const std::vector<JournalWrite>& writes) {
   for (const JournalWrite& write : writes) {
     // Dirty ranges against the declared base; full image when no
     // preimage is known or when extents would not actually save bytes.
-    Bytes zero_base;
     std::vector<Extent> extents;
     bool full = write.base == JournalWrite::kBaseNone;
     std::uint8_t base = write.base;
     if (!full) {
       ByteSpan base_span;
       if (write.base == JournalWrite::kBaseZero) {
-        zero_base.assign(write.data.size(), 0);
-        base_span = ByteSpan(zero_base.data(), zero_base.size());
+        base_span = ByteSpan(zero_block_.data(),
+                             std::min(zero_block_.size(), write.data.size()));
       } else {
         base_span = ByteSpan(write.preimage.data(), write.preimage.size());
       }

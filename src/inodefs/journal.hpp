@@ -68,6 +68,20 @@ struct JournalWrite {
   Bytes preimage;  ///< valid iff base == kBaseDevice
 };
 
+/// One dirty byte range of a journaled block.
+struct Extent {
+  std::uint32_t offset = 0;
+  std::uint32_t len = 0;
+};
+
+/// Two dirty runs at most this many equal bytes apart are merged into one
+/// extent — eight bytes of extent header buy nothing on a gap this short.
+inline constexpr std::size_t kExtentMergeGap = 16;
+
+/// Dirty ranges of `data` against `base` (same length), nearby runs
+/// merged. An identical block yields no extents.
+std::vector<Extent> DiffExtents(ByteSpan base, ByteSpan data);
+
 /// What the last Replay() saw while scanning the region — the
 /// inodefs.recovery.* metrics and the crash harness read this.
 struct ReplayStats {
@@ -97,6 +111,7 @@ class Journal {
   Journal(blockdev::BlockDevice& device, Superblock& superblock)
       : device_(device),
         sb_(superblock),
+        zero_block_(device.block_size(), 0),
         dirty_blocks_(superblock.journal_blocks) {}
 
   /// Transient-IO retry policy for every device access the journal makes.
@@ -161,6 +176,7 @@ class Journal {
 
   blockdev::BlockDevice& device_;
   Superblock& sb_;
+  const Bytes zero_block_;  ///< diff base of kBaseZero writes
   RetryPolicy retry_;
   std::uint64_t bytes_logged_ = 0;
   /// Upper bound on the region blocks that may hold history: blocks

@@ -1,11 +1,19 @@
-// InodeStore and journal tests: format/mount, inode lifecycle, file IO
-// across direct/indirect blocks, truncation and scrubbing, journal
-// crash-recovery, and the leak semantics the Fig-2 experiment relies on.
+// InodeStore and journal tests: format/mount, inode lifecycle and the
+// free-inode map, file IO across direct/indirect blocks, truncation and
+// scrubbing, journal crash-recovery, the word-wise bitmap and extent
+// encoders, and the leak semantics the Fig-2 experiment relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "blockdev/block_device.hpp"
+#include "blockdev/fault_injection.hpp"
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "inodefs/inode_store.hpp"
+#include "metrics/metrics.hpp"
 
 namespace rgpdos::inodefs {
 namespace {
@@ -436,6 +444,225 @@ TEST_F(InodeStoreTest, FreeInodeChecksRange) {
             StatusCode::kInvalidArgument);
 }
 
+// ---- free-inode map ----------------------------------------------------------
+//
+// AllocInode takes the lowest clear bit of an in-memory map instead of
+// scanning the inode table. The reference below is that scan, made
+// through the public GetInode.
+
+/// Lowest free slot by a full table scan (kInvalidInode if none).
+InodeId FirstFreeByScan(const InodeStore& store) {
+  for (InodeId id = 1; id < store.superblock().inode_count; ++id) {
+    auto inode = store.GetInode(id);
+    if (inode.ok() && inode->kind == InodeKind::kFree) return id;
+  }
+  return kInvalidInode;
+}
+
+std::uint64_t FreeCountByScan(const InodeStore& store) {
+  std::uint64_t count = 0;
+  for (InodeId id = 1; id < store.superblock().inode_count; ++id) {
+    auto inode = store.GetInode(id);
+    if (inode.ok() && inode->kind == InodeKind::kFree) ++count;
+  }
+  return count;
+}
+
+TEST_F(InodeStoreTest, AllocMatchesFirstFitScanAcrossScopesAndRemount) {
+  Rng rng(Rng::StreamSeed(24, 0x1D));
+  std::vector<InodeId> live;
+  const auto alloc_checked = [&] {
+    const InodeId expected = FirstFreeByScan(*store_);
+    auto id = store_->AllocInode(InodeKind::kFile);
+    if (expected == kInvalidInode) {
+      ASSERT_EQ(id.status().code(), StatusCode::kResourceExhausted);
+      return;
+    }
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_EQ(*id, expected);
+    live.push_back(*id);
+  };
+  const auto free_random = [&] {
+    if (live.empty()) return;
+    const std::size_t k = rng.NextBelow(live.size());
+    ASSERT_TRUE(store_->FreeInode(live[k], /*scrub=*/rng.NextBool()).ok());
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+  for (int step = 0; step < 400; ++step) {
+    if (step == 200) {
+      ASSERT_TRUE(store_->Sync().ok());
+      store_.reset();
+      auto mounted = InodeStore::Mount(device_.get(), &clock_);
+      ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+      store_ = std::move(mounted).value();
+      ASSERT_EQ(store_->FreeInodeCount(), FreeCountByScan(*store_));
+    }
+    const std::uint64_t dice = rng.NextBelow(10);
+    if (dice < 5) {
+      ASSERT_NO_FATAL_FAILURE(alloc_checked());
+    } else if (dice < 8) {
+      ASSERT_NO_FATAL_FAILURE(free_random());
+    } else {
+      // A group: allocations first (the scan sees the group's own staged
+      // slots, as AllocInode does), then frees.
+      InodeStore::GroupCommitScope scope(*store_);
+      for (std::uint64_t n = rng.NextBelow(3); n > 0; --n) {
+        ASSERT_NO_FATAL_FAILURE(alloc_checked());
+      }
+      for (std::uint64_t n = rng.NextBelow(4); n > 0; --n) {
+        ASSERT_NO_FATAL_FAILURE(free_random());
+      }
+      ASSERT_TRUE(scope.Finish().ok());
+    }
+    ASSERT_EQ(store_->FreeInodeCount(), FreeCountByScan(*store_))
+        << "step " << step;
+  }
+}
+
+TEST_F(InodeStoreTest, SlotFreedInScopeIsNotReusedBeforeFinish) {
+  auto a = store_->AllocInode(InodeKind::kFile);
+  auto b = store_->AllocInode(InodeKind::kFile);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::uint64_t free_before = store_->FreeInodeCount();
+  {
+    InodeStore::GroupCommitScope scope(*store_);
+    ASSERT_TRUE(store_->FreeInode(*a, /*scrub=*/false).ok());
+    // The free is only staged: a crash now would leave `a` live.
+    EXPECT_EQ(store_->FreeInodeCount(), free_before);
+    auto c = store_->AllocInode(InodeKind::kFile);
+    ASSERT_TRUE(c.ok());
+    EXPECT_NE(*c, *a);
+    EXPECT_EQ(*c, *b + 1);
+    ASSERT_TRUE(scope.Finish().ok());
+  }
+  EXPECT_EQ(store_->FreeInodeCount(), free_before);  // -c +a
+  auto d = store_->AllocInode(InodeKind::kFile);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(*d, *a);
+}
+
+TEST_F(InodeStoreTest, FailedGroupHandsItsAllocationsOutAgain) {
+  auto first = store_->AllocInode(InodeKind::kFile);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(store_->Sync().ok());
+  store_.reset();
+  // Remount through a device that loses power on its first write: with
+  // nothing to replay, that is the group's journal record. No retries,
+  // so the failure reaches Finish.
+  blockdev::FaultPlan plan;
+  plan.crash_at_write = 1;
+  blockdev::FaultInjectingBlockDevice faulty(device_.get(), plan);
+  auto mounted = InodeStore::Mount(&faulty, &clock_,
+                                   metrics::LockRank::kInodefs,
+                                   RetryPolicy::None());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  store_ = std::move(mounted).value();
+  const std::uint64_t free_before = store_->FreeInodeCount();
+
+  std::vector<InodeId> staged;
+  {
+    InodeStore::GroupCommitScope scope(*store_);
+    for (int i = 0; i < 3; ++i) {
+      auto id = store_->AllocInode(InodeKind::kFile);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      staged.push_back(*id);
+    }
+    EXPECT_EQ(scope.Finish().code(), StatusCode::kCrashed);
+  }
+  EXPECT_EQ(store_->FreeInodeCount(), free_before);
+  faulty.PowerCycle();
+  for (InodeId expected : staged) {
+    auto id = store_->AllocInode(InodeKind::kFile);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_EQ(*id, expected);
+  }
+  EXPECT_EQ(store_->FreeInodeCount(), FreeCountByScan(*store_));
+}
+
+TEST_F(InodeStoreTest, MountRebuildsTheInodeMapFromReplayedSlots) {
+  std::vector<InodeId> ids;
+  for (int i = 0; i < 10; ++i) {
+    auto id = store_->AllocInode(InodeKind::kFile);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(store_->FreeInode(ids[2], /*scrub=*/false).ok());
+  ASSERT_TRUE(store_->Sync().ok());
+  // Journal-only from here: the table on the medium misses these changes
+  // until replay applies them.
+  store_->SetCrashBeforeCheckpoint(true);
+  ASSERT_TRUE(store_->FreeInode(ids[5], /*scrub=*/false).ok());
+  ASSERT_TRUE(store_->AllocInode(InodeKind::kDirectory).ok());  // ids[2]
+  ASSERT_TRUE(store_->AllocInode(InodeKind::kDirectory).ok());  // ids[5]
+  ASSERT_TRUE(store_->AllocInode(InodeKind::kDirectory).ok());  // fresh
+  ASSERT_TRUE(store_->FreeInode(ids[7], /*scrub=*/false).ok());
+  const std::uint64_t free_at_crash = store_->FreeInodeCount();
+  store_.reset();  // power loss
+
+  auto mounted = InodeStore::Mount(device_.get(), &clock_);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  store_ = std::move(mounted).value();
+  EXPECT_EQ(store_->FreeInodeCount(), FreeCountByScan(*store_));
+  EXPECT_EQ(store_->FreeInodeCount(), free_at_crash);
+  auto next = store_->AllocInode(InodeKind::kFile);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, ids[7]);
+}
+
+TEST_F(InodeStoreTest, MountRejectsAnUnknownInodeKind) {
+  ASSERT_TRUE(store_->AllocInode(InodeKind::kFile).ok());
+  ASSERT_TRUE(store_->Sync().ok());
+  const Superblock sb = store_->superblock();
+  store_.reset();
+  // Slot 5's first byte is its kind; one past the last kind is invalid.
+  const InodeId slot = 5;
+  const std::uint32_t per_block = sb.block_size / kInodeDiskSize;
+  const BlockIndex block = sb.inode_table_start + slot / per_block;
+  Bytes image;
+  ASSERT_TRUE(device_->ReadBlock(block, image).ok());
+  image[(slot % per_block) * kInodeDiskSize] =
+      static_cast<std::uint8_t>(InodeKind::kFormatHint) + 1;
+  ASSERT_TRUE(device_->WriteBlock(block, image).ok());
+  EXPECT_EQ(InodeStore::Mount(device_.get(), &clock_).status().code(),
+            StatusCode::kCorruption);
+}
+
+/// inodefs.block.reads of the allocation that follows the reuse of a
+/// freed low slot, with `live_above` live slots above it.
+std::uint64_t AllocReadsAboveReusedSlot(std::uint32_t live_above) {
+  SimClock clock(1000);
+  blockdev::MemBlockDevice device(4096, 1024);
+  InodeStore::Options options;
+  options.inode_count = 4100;
+  options.journal_blocks = 64;
+  auto store = InodeStore::Format(&device, options, &clock);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return 0;
+  InodeStore& s = **store;
+  const InodeId low = *s.AllocInode(InodeKind::kFile);
+  for (std::uint32_t i = 0; i < live_above; ++i) {
+    EXPECT_TRUE(s.AllocInode(InodeKind::kFile).ok());
+  }
+  EXPECT_TRUE(s.FreeInode(low, /*scrub=*/false).ok());
+  EXPECT_EQ(*s.AllocInode(InodeKind::kFile), low);
+  metrics::Counter& reads =
+      metrics::MetricsRegistry::Instance().GetCounter("inodefs.block.reads");
+  const std::uint64_t before = reads.Value();
+  auto id = s.AllocInode(InodeKind::kFile);
+  const std::uint64_t after = reads.Value();
+  EXPECT_TRUE(id.ok());
+  EXPECT_EQ(*id, low + live_above + 1);
+  return after - before;
+}
+
+TEST(InodeMapTest, AllocationReadsDoNotGrowWithLiveSlotsAboveTheHint) {
+  const std::uint64_t few = AllocReadsAboveReusedSlot(4);
+  const std::uint64_t many = AllocReadsAboveReusedSlot(4000);
+  EXPECT_EQ(few, many);
+  // One read of the slot's inode-table block (when metrics are on).
+  EXPECT_LE(many, 1u);
+}
+
 // ---- journal regression tests ----------------------------------------------
 //
 // Direct Journal-level scenarios with a tiny 8-block region where the
@@ -739,6 +966,136 @@ TEST_F(JournalTest, SuperblockSurvivesTornWrite) {
   torn[kSuperblockSlotSize + 10] ^= 0xFF;
   EXPECT_EQ(Superblock::Decode(torn).status().code(),
             StatusCode::kCorruption);
+}
+
+// ---- word-wise encoders ------------------------------------------------------
+//
+// The bitmap images and the extent diff work a word at a time; each must
+// produce exactly what its byte-at-a-time definition below produces.
+
+TEST(BitmapEncodingTest, WordWiseImageMatchesBitByBitReference) {
+  constexpr std::uint32_t kBlockSize = 512;
+  constexpr std::uint64_t kBitsPerBlock = kBlockSize * 8;
+  // Three blocks, the last one partial, and a tail word only half used.
+  constexpr std::uint64_t kBitCount = 2 * kBitsPerBlock + 1000 + 37;
+  Rng rng(Rng::StreamSeed(24, 0xB17));
+  std::vector<std::uint64_t> words((kBitCount + 63) / 64);
+  for (std::uint64_t& w : words) w = rng.NextU64();  // tail bits set too
+  const std::uint64_t blocks = (kBitCount + kBitsPerBlock - 1) / kBitsPerBlock;
+
+  std::vector<std::uint64_t> decoded(words.size(), ~std::uint64_t(0));
+  for (std::uint64_t i = 0; i < blocks; ++i) {
+    Bytes reference(kBlockSize, 0);
+    for (std::uint64_t j = 0; j < kBitsPerBlock; ++j) {
+      const std::uint64_t bit = i * kBitsPerBlock + j;
+      if (bit < kBitCount && ((words[bit / 64] >> (bit % 64)) & 1) != 0) {
+        reference[j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
+      }
+    }
+    const Bytes image = EncodeBitmapBlock(words, kBitCount, kBlockSize, i);
+    ASSERT_EQ(image, reference) << "bitmap block " << i;
+    DecodeBitmapBlock(image, kBitCount, i, decoded);
+  }
+  for (std::uint64_t bit = 0; bit < decoded.size() * 64; ++bit) {
+    const bool want =
+        bit < kBitCount && ((words[bit / 64] >> (bit % 64)) & 1) != 0;
+    ASSERT_EQ(((decoded[bit / 64] >> (bit % 64)) & 1) != 0, want)
+        << "bit " << bit;
+  }
+}
+
+/// DiffExtents's definition, one byte at a time: a run starts at a dirty
+/// byte and ends before more than kExtentMergeGap consecutive equal bytes.
+std::vector<Extent> DiffExtentsByteLoop(ByteSpan base, ByteSpan data) {
+  std::vector<Extent> extents;
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+  while (i < n) {
+    if (base[i] == data[i]) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    std::size_t clean = 0;
+    while (end < n) {
+      if (base[end] == data[end]) {
+        if (++clean > kExtentMergeGap) {
+          ++end;
+          break;
+        }
+      } else {
+        clean = 0;
+      }
+      ++end;
+    }
+    extents.push_back({static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>(end - clean - i)});
+    i = end;
+  }
+  return extents;
+}
+
+void ExpectSameExtents(const Bytes& base, const Bytes& data,
+                       const std::string& label) {
+  const std::vector<Extent> got = DiffExtents(base, data);
+  const std::vector<Extent> want = DiffExtentsByteLoop(base, data);
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(got[k].offset, want[k].offset) << label << " extent " << k;
+    ASSERT_EQ(got[k].len, want[k].len) << label << " extent " << k;
+  }
+}
+
+TEST(ExtentDiffTest, WordSkipMatchesByteLoopOnSeededPairs) {
+  Rng rng(Rng::StreamSeed(24, 0xD1F));
+  const std::size_t kSizes[] = {0, 1, 7, 8, 9, 15, 63, 64, 65, 100, 509,
+                                512, 4096};
+  for (int pair = 0; pair < 12000; ++pair) {
+    const std::size_t n = pair % 3 == 0 ? rng.NextBelow(300)
+                                        : kSizes[rng.NextBelow(13)];
+    Bytes base(n);
+    for (std::uint8_t& b : base) {
+      b = static_cast<std::uint8_t>(rng.NextBool(0.3) ? rng.NextU64() : 0);
+    }
+    Bytes data = base;
+    if (n > 0) {
+      for (std::uint64_t runs = rng.NextBelow(6); runs > 0; --runs) {
+        // Runs start and end anywhere, often on or next to a word edge.
+        std::size_t at = rng.NextBelow(n);
+        if (rng.NextBool()) at = std::min(n - 1, at / 8 * 8 + rng.NextBelow(2));
+        const std::size_t len = 1 + rng.NextBelow(24);
+        for (std::size_t k = at; k < std::min(n, at + len); ++k) {
+          data[k] = static_cast<std::uint8_t>(data[k] + 1 + rng.NextBelow(255));
+        }
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameExtents(base, data, "pair " + std::to_string(pair)));
+  }
+}
+
+TEST(ExtentDiffTest, MergeGapBoundaryAndTails) {
+  // Two dirty bytes exactly kExtentMergeGap apart merge; one byte more
+  // splits them. Shifted across a word edge and into a short tail.
+  for (std::size_t n : {std::size_t(61), std::size_t(64), std::size_t(77)}) {
+    for (std::size_t first = 0; first + kExtentMergeGap + 2 < n; ++first) {
+      for (std::size_t gap : {kExtentMergeGap, kExtentMergeGap + 1}) {
+        const std::size_t second = first + gap + 1;
+        if (second >= n) continue;
+        const Bytes base(n, 0);
+        Bytes data = base;
+        data[first] = 1;
+        data[second] = 2;
+        const std::string label = "n=" + std::to_string(n) +
+                                  " first=" + std::to_string(first) +
+                                  " gap=" + std::to_string(gap);
+        ASSERT_NO_FATAL_FAILURE(ExpectSameExtents(base, data, label));
+        EXPECT_EQ(DiffExtents(base, data).size(),
+                  gap == kExtentMergeGap ? 1u : 2u)
+            << label;
+      }
+    }
+  }
 }
 
 }  // namespace

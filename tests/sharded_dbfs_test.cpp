@@ -50,10 +50,13 @@ class ShardedDbfsTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kShards = 4;
 
+  /// Shards the fixture formats; kShards unless a subclass says otherwise.
+  virtual std::size_t ShardCount() const { return kShards; }
+
   void SetUp() override {
     sentinel_ = std::make_unique<sentinel::Sentinel>(
         sentinel::SecurityPolicy::RgpdDefault(), &clock_, &audit_);
-    for (std::size_t i = 0; i < kShards; ++i) {
+    for (std::size_t i = 0; i < ShardCount(); ++i) {
       devices_.push_back(
           std::make_unique<blockdev::MemBlockDevice>(512, 4096));
       inodefs::InodeStore::Options options;
@@ -85,6 +88,50 @@ class ShardedDbfsTest : public ::testing::Test {
     return fs_->Put(kDed, subject, "note",
                     db::Row{db::Value(author), db::Value(text)},
                     std::move(m));
+  }
+
+  /// One note each for subjects 1..12, read back as a batch that mixes
+  /// shards, duplicates, a missing id and id 0, in shuffled order.
+  std::vector<RecordId> MixedBatch() {
+    std::map<SubjectId, RecordId> by_subject;
+    for (SubjectId s = 1; s <= 12; ++s) {
+      auto id = PutNote(s, "author" + std::to_string(s),
+                        "text" + std::to_string(s));
+      EXPECT_TRUE(id.ok()) << id.status().ToString();
+      by_subject[s] = id.ok() ? *id : 0;
+    }
+    return {by_subject[7], by_subject[2], 99999,        by_subject[7],
+            by_subject[4], 0,             by_subject[1], by_subject[12]};
+  }
+
+  /// GetMany and GetMembraneMany answer slot for slot what the per-id
+  /// reads answer.
+  void ExpectBatchReadsMatchPerIdReads(const std::vector<RecordId>& ids) {
+    const auto batched = fs_->GetMany(kDed, ids);
+    ASSERT_EQ(batched.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto one = fs_->Get(kDed, ids[i]);
+      ASSERT_EQ(batched[i].ok(), one.ok()) << "slot " << i;
+      if (!one.ok()) {
+        EXPECT_EQ(batched[i].status().code(), one.status().code());
+        continue;
+      }
+      EXPECT_EQ(batched[i]->subject_id, one->subject_id) << "slot " << i;
+      ASSERT_EQ(batched[i]->row.size(), one->row.size());
+      for (std::size_t f = 0; f < one->row.size(); ++f) {
+        EXPECT_TRUE(batched[i]->row[f] == one->row[f]) << "slot " << i;
+      }
+    }
+    const auto membranes = fs_->GetMembraneMany(kDed, ids);
+    ASSERT_EQ(membranes.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto one = fs_->GetMembrane(kDed, ids[i]);
+      ASSERT_EQ(membranes[i].ok(), one.ok()) << "slot " << i;
+      if (one.ok()) {
+        EXPECT_EQ(membranes[i]->Serialize(), one->Serialize())
+            << "slot " << i;
+      }
+    }
   }
 
   SimClock clock_{1000};
@@ -195,42 +242,19 @@ TEST_F(ShardedDbfsTest, FanOutOpsGateExactlyOnce) {
 }
 
 TEST_F(ShardedDbfsTest, GetManyFansOutAndScattersBackInRequestOrder) {
-  // 12 subjects over 4 shards; the batch mixes shards, duplicates, a
-  // missing id and id 0, in deliberately shuffled order.
-  std::map<SubjectId, RecordId> by_subject;
-  for (SubjectId s = 1; s <= 12; ++s) {
-    auto id = PutNote(s, "author" + std::to_string(s),
-                      "text" + std::to_string(s));
-    ASSERT_TRUE(id.ok());
-    by_subject[s] = *id;
-  }
-  const std::vector<RecordId> ids = {
-      by_subject[7], by_subject[2], 99999,        by_subject[7],
-      by_subject[4], 0,             by_subject[1], by_subject[12]};
-  const auto batched = fs_->GetMany(kDed, ids);
-  ASSERT_EQ(batched.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto one = fs_->Get(kDed, ids[i]);
-    ASSERT_EQ(batched[i].ok(), one.ok()) << "slot " << i;
-    if (!one.ok()) {
-      EXPECT_EQ(batched[i].status().code(), one.status().code());
-      continue;
-    }
-    EXPECT_EQ(batched[i]->subject_id, one->subject_id) << "slot " << i;
-    ASSERT_EQ(batched[i]->row.size(), one->row.size());
-    for (std::size_t f = 0; f < one->row.size(); ++f) {
-      EXPECT_TRUE(batched[i]->row[f] == one->row[f]) << "slot " << i;
-    }
-  }
-  const auto membranes = fs_->GetMembraneMany(kDed, ids);
-  ASSERT_EQ(membranes.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto one = fs_->GetMembrane(kDed, ids[i]);
-    ASSERT_EQ(membranes[i].ok(), one.ok()) << "slot " << i;
-    if (one.ok()) {
-      EXPECT_EQ(membranes[i]->Serialize(), one->Serialize()) << "slot " << i;
-    }
-  }
+  // 12 subjects over 4 shards: the batch spans every shard.
+  ASSERT_NO_FATAL_FAILURE(ExpectBatchReadsMatchPerIdReads(MixedBatch()));
+}
+
+/// The same facade over a single store, where a batch is forwarded to
+/// shard 0 as is.
+class OneShardDbfsTest : public ShardedDbfsTest {
+ protected:
+  std::size_t ShardCount() const override { return 1; }
+};
+
+TEST_F(OneShardDbfsTest, GetManyForwardsTheBatchToTheOneShard) {
+  ASSERT_NO_FATAL_FAILURE(ExpectBatchReadsMatchPerIdReads(MixedBatch()));
 }
 
 TEST_F(ShardedDbfsTest, MountReconcilesTypeCatalogAfterPartialCreate) {
