@@ -136,31 +136,25 @@ Result<membrane::Membrane> ShardedDbfs::GetMembrane(sentinel::Domain caller,
 
 namespace {
 /// Group a batch by owning shard, run `call` once per shard with that
-/// shard's ids, and scatter each shard's in-order results back to the
-/// original slots. One shard owns every id, so it gets the batch as is.
+/// shard's ids, and deal each shard's in-order results back out in
+/// request order. One shard owns every id, so it gets the batch as is.
 template <typename T, typename Call>
-std::vector<Result<T>> FanOutBatch(std::size_t shard_count,
+std::vector<Result<T>> FanOutBatch(const ShardedDbfs& fs,
                                    const std::vector<RecordId>& ids,
                                    Call call) {
+  const std::size_t shard_count = fs.shard_count();
   if (shard_count == 1) return call(0, ids);
-  // Record ids are minted from per-shard arithmetic progressions, so the
-  // owner is recoverable without a directory lookup. Id 0 is never
-  // minted; route it anywhere for its NotFound verdict.
-  const auto owner = [&](RecordId id) {
-    return id == 0 ? 0 : static_cast<std::size_t>((id - 1) % shard_count);
-  };
   std::vector<std::vector<RecordId>> shard_ids(shard_count);
-  for (RecordId id : ids) shard_ids[owner(id)].push_back(id);
+  for (RecordId id : ids) shard_ids[fs.ShardIndexOfRecord(id)].push_back(id);
   std::vector<std::vector<Result<T>>> parts(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (!shard_ids[s].empty()) parts[s] = call(s, shard_ids[s]);
   }
-  // Each shard answered its ids in request order; deal them back out.
   std::vector<std::size_t> next(shard_count, 0);
   std::vector<Result<T>> out;
   out.reserve(ids.size());
   for (RecordId id : ids) {
-    const std::size_t s = owner(id);
+    const std::size_t s = fs.ShardIndexOfRecord(id);
     out.push_back(std::move(parts[s][next[s]++]));
   }
   return out;
@@ -170,7 +164,7 @@ std::vector<Result<T>> FanOutBatch(std::size_t shard_count,
 std::vector<Result<PdRecord>> ShardedDbfs::GetMany(
     sentinel::Domain caller, const std::vector<RecordId>& ids) const {
   return FanOutBatch<PdRecord>(
-      shards_.size(), ids,
+      *this, ids,
       [&](std::size_t s, const std::vector<RecordId>& part) {
         return shards_[s]->GetMany(caller, part);
       });
@@ -179,7 +173,7 @@ std::vector<Result<PdRecord>> ShardedDbfs::GetMany(
 std::vector<Result<membrane::Membrane>> ShardedDbfs::GetMembraneMany(
     sentinel::Domain caller, const std::vector<RecordId>& ids) const {
   return FanOutBatch<membrane::Membrane>(
-      shards_.size(), ids,
+      *this, ids,
       [&](std::size_t s, const std::vector<RecordId>& part) {
         return shards_[s]->GetMembraneMany(caller, part);
       });

@@ -169,6 +169,7 @@ class ShardedDbfs final {
   [[nodiscard]] std::size_t ShardIndexOfSubject(SubjectId subject) const {
     return subject % shards_.size();
   }
+  /// Id 0 is never minted; it routes to shard 0 for its NotFound verdict.
   [[nodiscard]] std::size_t ShardIndexOfRecord(RecordId id) const {
     return id == 0 ? 0 : (id - 1) % shards_.size();
   }

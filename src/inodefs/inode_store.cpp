@@ -7,6 +7,19 @@
 
 namespace rgpdos::inodefs {
 
+namespace {
+/// Set or clear bit `bit` of a bitmap held as 64-bit words (bit b is bit
+/// b % 64 of word b / 64): the block bitmap and the free-inode map.
+void SetBit(std::vector<std::uint64_t>& words, std::uint64_t bit, bool set) {
+  const std::uint64_t mask = std::uint64_t(1) << (bit % 64);
+  if (set) {
+    words[bit / 64] |= mask;
+  } else {
+    words[bit / 64] &= ~mask;
+  }
+}
+}  // namespace
+
 InodeStore::InodeStore(blockdev::BlockDevice* device, Superblock sb,
                        const Clock* clock, bool journal_enabled,
                        metrics::LockRank lock_rank,
@@ -105,10 +118,12 @@ Result<std::unique_ptr<InodeStore>> InodeStore::Format(
   store->journal_.MarkRegionZeroed();
   store->bitmap_.assign((sb.block_count + 63) / 64, 0);
   // Mark all metadata blocks (including block 0) as used.
-  for (BlockIndex b = 0; b < sb.data_start; ++b) store->BitmapSet(b, true);
+  for (BlockIndex b = 0; b < sb.data_start; ++b) {
+    SetBit(store->bitmap_, b, true);
+  }
   store->alloc_hint_ = sb.data_start;
   store->inode_map_.assign((sb.inode_count + 63) / 64, 0);
-  store->InodeMapSet(kInvalidInode, true);
+  SetBit(store->inode_map_, kInvalidInode, true);
 
   RGPD_RETURN_IF_ERROR(store->Sync());
   return store;
@@ -194,7 +209,7 @@ Status InodeStore::LoadInodeMap() {
   std::vector<Bytes> images;
   RGPD_RETURN_IF_ERROR(DevReadBatch(table, images));
   inode_map_.assign((sb_.inode_count + 63) / 64, 0);
-  InodeMapSet(kInvalidInode, true);
+  SetBit(inode_map_, kInvalidInode, true);
   for (InodeId id = 1; id < sb_.inode_count; ++id) {
     // The kind is the first byte of the slot (see Inode::Encode).
     const std::uint8_t kind =
@@ -203,7 +218,7 @@ Status InodeStore::LoadInodeMap() {
       return Corruption("inode table holds an unknown inode kind");
     }
     if (kind != static_cast<std::uint8_t>(InodeKind::kFree)) {
-      InodeMapSet(id, true);
+      SetBit(inode_map_, id, true);
     }
   }
   return Status::Ok();
@@ -464,7 +479,7 @@ Status InodeStore::GroupCommitScope::Finish() {
     // group did not commit, its allocations are free again instead.
     for (InodeId id : status.ok() ? store_.group_frees_
                                   : store_.group_allocs_) {
-      store_.InodeMapSet(id, false);
+      SetBit(store_.inode_map_, id, false);
       store_.inode_hint_ = std::min(store_.inode_hint_, id);
     }
     store_.group_allocs_.clear();
@@ -483,14 +498,6 @@ InodeStore::GroupCommitScope::~GroupCommitScope() {
 
 bool InodeStore::BitmapGet(BlockIndex block) const {
   return (bitmap_[block / 64] >> (block % 64)) & 1;
-}
-
-void InodeStore::BitmapSet(BlockIndex block, bool used) {
-  if (used) {
-    bitmap_[block / 64] |= std::uint64_t(1) << (block % 64);
-  } else {
-    bitmap_[block / 64] &= ~(std::uint64_t(1) << (block % 64));
-  }
 }
 
 Status InodeStore::StageBitmapBlock(BlockIndex data_block, Txn& txn) {
@@ -516,7 +523,7 @@ Result<BlockIndex> InodeStore::AllocDataBlock(Txn& txn) {
     const BlockIndex to = pass == 0 ? sb_.block_count : start;
     for (BlockIndex b = from; b < to; ++b) {
       if (!BitmapGet(b)) {
-        BitmapSet(b, true);
+        SetBit(bitmap_, b, true);
         alloc_hint_ = b + 1;
         RGPD_RETURN_IF_ERROR(StageBitmapBlock(b, txn));
         return b;
@@ -538,7 +545,7 @@ Status InodeStore::FreeDataBlock(BlockIndex block, bool scrub, Txn& txn) {
     // no reader of this store can re-fill the entry in between.
     device_->InvalidateCached(block);
   }
-  BitmapSet(block, false);
+  SetBit(bitmap_, block, false);
   return StageBitmapBlock(block, txn);
 }
 
@@ -597,14 +604,6 @@ InodeId InodeStore::NextFreeInode(InodeId from) const {
   return sb_.inode_count;
 }
 
-void InodeStore::InodeMapSet(InodeId id, bool used) {
-  if (used) {
-    inode_map_[id / 64] |= std::uint64_t(1) << (id % 64);
-  } else {
-    inode_map_[id / 64] &= ~(std::uint64_t(1) << (id % 64));
-  }
-}
-
 Result<InodeId> InodeStore::AllocInode(InodeKind kind) {
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
   Txn txn(*this);
@@ -616,7 +615,7 @@ Result<InodeId> InodeStore::AllocInode(InodeKind kind) {
        id = NextFreeInode(id + 1)) {
     RGPD_ASSIGN_OR_RETURN(Inode inode, LoadInode(id, &txn));
     if (inode.kind != InodeKind::kFree) {
-      InodeMapSet(id, true);
+      SetBit(inode_map_, id, true);
       continue;
     }
     const std::uint64_t generation = inode.generation + 1;
@@ -627,7 +626,7 @@ Result<InodeId> InodeStore::AllocInode(InodeKind kind) {
     inode.ctime = inode.mtime = clock_->Now();
     RGPD_RETURN_IF_ERROR(StoreInode(id, inode, txn));
     RGPD_RETURN_IF_ERROR(txn.Commit());
-    InodeMapSet(id, true);
+    SetBit(inode_map_, id, true);
     if (group_depth_ > 0) group_allocs_.push_back(id);
     inode_hint_ = id + 1;
     return id;
@@ -651,7 +650,7 @@ Status InodeStore::FreeInode(InodeId id, bool scrub) {
   if (group_depth_ > 0) {
     group_frees_.push_back(id);
   } else {
-    InodeMapSet(id, false);
+    SetBit(inode_map_, id, false);
   }
   inode_hint_ = std::min(inode_hint_, id);
   return Status::Ok();

@@ -208,7 +208,6 @@ class InodeStore {
 
   // Bitmap helpers (in-memory copy; dirty blocks staged into the txn).
   [[nodiscard]] bool BitmapGet(BlockIndex block) const;
-  void BitmapSet(BlockIndex block, bool used);
   Status StageBitmapBlock(BlockIndex data_block, Txn& txn);
   Result<BlockIndex> AllocDataBlock(Txn& txn);
   Status FreeDataBlock(BlockIndex block, bool scrub, Txn& txn);
@@ -238,7 +237,6 @@ class InodeStore {
   /// Lowest slot in [from, inode_count) whose map bit is clear, or
   /// inode_count if there is none.
   [[nodiscard]] InodeId NextFreeInode(InodeId from) const;
-  void InodeMapSet(InodeId id, bool used);
   /// Rebuild the map from the kind byte of every inode-table slot.
   Status LoadInodeMap();
 
