@@ -137,13 +137,12 @@ Result<membrane::Membrane> ShardedDbfs::GetMembrane(sentinel::Domain caller,
 namespace {
 /// Group a batch by owning shard, run `call` once per shard with that
 /// shard's ids, and deal each shard's in-order results back out in
-/// request order. One shard owns every id, so it gets the batch as is.
+/// request order.
 template <typename T, typename Call>
 std::vector<Result<T>> FanOutBatch(const ShardedDbfs& fs,
                                    const std::vector<RecordId>& ids,
                                    Call call) {
   const std::size_t shard_count = fs.shard_count();
-  if (shard_count == 1) return call(0, ids);
   std::vector<std::vector<RecordId>> shard_ids(shard_count);
   for (RecordId id : ids) shard_ids[fs.ShardIndexOfRecord(id)].push_back(id);
   std::vector<std::vector<Result<T>>> parts(shard_count);

@@ -211,15 +211,12 @@ Status InodeStore::LoadInodeMap() {
   inode_map_.assign((sb_.inode_count + 63) / 64, 0);
   SetBit(inode_map_, kInvalidInode, true);
   for (InodeId id = 1; id < sb_.inode_count; ++id) {
-    // The kind is the first byte of the slot (see Inode::Encode).
-    const std::uint8_t kind =
-        images[InodeBlock(id) - sb_.inode_table_start][InodeOffset(id)];
-    if (kind > static_cast<std::uint8_t>(InodeKind::kFormatHint)) {
-      return Corruption("inode table holds an unknown inode kind");
-    }
-    if (kind != static_cast<std::uint8_t>(InodeKind::kFree)) {
-      SetBit(inode_map_, id, true);
-    }
+    const Bytes& block = images[InodeBlock(id) - sb_.inode_table_start];
+    RGPD_ASSIGN_OR_RETURN(
+        Inode inode,
+        Inode::Decode(ByteSpan(block.data() + InodeOffset(id),
+                               kInodeDiskSize)));
+    if (inode.kind != InodeKind::kFree) SetBit(inode_map_, id, true);
   }
   return Status::Ok();
 }
@@ -480,7 +477,6 @@ Status InodeStore::GroupCommitScope::Finish() {
     for (InodeId id : status.ok() ? store_.group_frees_
                                   : store_.group_allocs_) {
       SetBit(store_.inode_map_, id, false);
-      store_.inode_hint_ = std::min(store_.inode_hint_, id);
     }
     store_.group_allocs_.clear();
     store_.group_frees_.clear();
@@ -607,11 +603,11 @@ InodeId InodeStore::NextFreeInode(InodeId from) const {
 Result<InodeId> InodeStore::AllocInode(InodeKind kind) {
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
   Txn txn(*this);
-  // Lowest free slot from the hint, as a first-fit scan of the table
-  // would find it. The slot is still decoded under the txn for its
-  // generation; one that decodes live (a failed commit may have reached
-  // the medium after all) is marked and skipped, as the scan skipped it.
-  for (InodeId id = NextFreeInode(inode_hint_); id < sb_.inode_count;
+  // Lowest free slot, as a first-fit scan of the table would find it.
+  // The slot is still decoded under the txn for its generation; one that
+  // decodes live (a failed commit may have reached the medium after all)
+  // is marked and skipped, as the scan skipped it.
+  for (InodeId id = NextFreeInode(1); id < sb_.inode_count;
        id = NextFreeInode(id + 1)) {
     RGPD_ASSIGN_OR_RETURN(Inode inode, LoadInode(id, &txn));
     if (inode.kind != InodeKind::kFree) {
@@ -628,7 +624,6 @@ Result<InodeId> InodeStore::AllocInode(InodeKind kind) {
     RGPD_RETURN_IF_ERROR(txn.Commit());
     SetBit(inode_map_, id, true);
     if (group_depth_ > 0) group_allocs_.push_back(id);
-    inode_hint_ = id + 1;
     return id;
   }
   return ResourceExhausted("inode table full");
@@ -652,7 +647,6 @@ Status InodeStore::FreeInode(InodeId id, bool scrub) {
   } else {
     SetBit(inode_map_, id, false);
   }
-  inode_hint_ = std::min(inode_hint_, id);
   return Status::Ok();
 }
 

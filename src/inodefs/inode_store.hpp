@@ -96,9 +96,8 @@ class InodeStore {
   Status Sync();
 
   // ---- inode lifecycle ----------------------------------------------------
-  /// Claim the lowest free inode slot at or above the allocation hint
-  /// (FreeInode lowers the hint), found in the in-memory free-inode map,
-  /// not by reading the inode table.
+  /// Claim the lowest free inode slot, found in the in-memory free-inode
+  /// map, not by reading the inode table.
   Result<InodeId> AllocInode(InodeKind kind);
   /// Release the inode and its data blocks. With `scrub`, every data
   /// block is overwritten with zeros first (GDPR erasure path); without,
@@ -237,7 +236,7 @@ class InodeStore {
   /// Lowest slot in [from, inode_count) whose map bit is clear, or
   /// inode_count if there is none.
   [[nodiscard]] InodeId NextFreeInode(InodeId from) const;
-  /// Rebuild the map from the kind byte of every inode-table slot.
+  /// Rebuild the map from the decoded kind of every inode-table slot.
   Status LoadInodeMap();
 
   blockdev::BlockDevice* device_;  // borrowed; outlives the store
@@ -263,7 +262,6 @@ class InodeStore {
   /// GroupCommitScope only as the scope's outcome allows (see
   /// group_allocs_ / group_frees_).
   std::vector<std::uint64_t> inode_map_;
-  InodeId inode_hint_ = 1;  // lowest possibly-free inode slot
 
   /// Per-store lock; recursive so GroupCommitScope can hold it across
   /// public re-entry (and so WriteAll -> Truncate style internal nesting

@@ -627,6 +627,47 @@ TEST_F(InodeStoreTest, MountRejectsAnUnknownInodeKind) {
             StatusCode::kCorruption);
 }
 
+TEST_F(InodeStoreTest, MountUnderTransientErrorsRebuildsTheInodeMap) {
+  std::vector<InodeId> ids;
+  for (int i = 0; i < 40; ++i) {
+    auto id = store_->AllocInode(InodeKind::kFile);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  for (std::size_t i = 3; i < ids.size(); i += 4) {
+    ASSERT_TRUE(store_->FreeInode(ids[i], /*scrub=*/false).ok());
+  }
+  ASSERT_TRUE(store_->WriteAll(ids[0], Pattern(1500)).ok());
+  ASSERT_TRUE(store_->Sync().ok());
+  // Slot changes that only replay puts on the medium.
+  store_->SetCrashBeforeCheckpoint(true);
+  ASSERT_TRUE(store_->FreeInode(ids[1], /*scrub=*/false).ok());
+  ASSERT_TRUE(store_->AllocInode(InodeKind::kDirectory).ok());  // ids[1]
+  ASSERT_TRUE(store_->FreeInode(ids[2], /*scrub=*/false).ok());
+  const std::uint64_t free_at_crash = store_->FreeInodeCount();
+  const Superblock sb = store_->superblock();
+  store_.reset();  // power loss
+
+  // Every fifth read or write fails once and the default policy retries
+  // it. The inode table spans more blocks than that, so Mount's batched
+  // read of it meets the schedule and must fall back to per-block reads.
+  blockdev::FaultPlan plan;
+  plan.transient_error_every = 5;
+  ASSERT_GE(sb.inode_table_blocks, plan.transient_error_every);
+  blockdev::FaultInjectingBlockDevice faulty(device_.get(), plan);
+  auto mounted = InodeStore::Mount(&faulty, &clock_);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  store_ = std::move(mounted).value();
+  EXPECT_GT(faulty.fault_stats().transient_errors, 0u);
+  EXPECT_EQ(store_->FreeInodeCount(), free_at_crash);
+  EXPECT_EQ(store_->FreeInodeCount(), FreeCountByScan(*store_));
+  const InodeId first_fit = FirstFreeByScan(*store_);
+  EXPECT_EQ(first_fit, ids[2]);
+  auto next = store_->AllocInode(InodeKind::kFile);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, first_fit);
+}
+
 /// inodefs.block.reads of the allocation that follows the reuse of a
 /// freed low slot, with `live_above` live slots above it.
 std::uint64_t AllocReadsAboveReusedSlot(std::uint32_t live_above) {
@@ -655,7 +696,7 @@ std::uint64_t AllocReadsAboveReusedSlot(std::uint32_t live_above) {
   return after - before;
 }
 
-TEST(InodeMapTest, AllocationReadsDoNotGrowWithLiveSlotsAboveTheHint) {
+TEST(InodeMapTest, AllocationReadsDoNotGrowWithLiveSlotsAboveAReusedSlot) {
   const std::uint64_t few = AllocReadsAboveReusedSlot(4);
   const std::uint64_t many = AllocReadsAboveReusedSlot(4000);
   EXPECT_EQ(few, many);

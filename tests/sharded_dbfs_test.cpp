@@ -246,14 +246,14 @@ TEST_F(ShardedDbfsTest, GetManyFansOutAndScattersBackInRequestOrder) {
   ASSERT_NO_FATAL_FAILURE(ExpectBatchReadsMatchPerIdReads(MixedBatch()));
 }
 
-/// The same facade over a single store, where a batch is forwarded to
-/// shard 0 as is.
+/// The same facade over a single store, where shard 0 owns every id of
+/// a batch.
 class OneShardDbfsTest : public ShardedDbfsTest {
  protected:
   std::size_t ShardCount() const override { return 1; }
 };
 
-TEST_F(OneShardDbfsTest, GetManyForwardsTheBatchToTheOneShard) {
+TEST_F(OneShardDbfsTest, GetManyKeepsRequestOrderAtOneShard) {
   ASSERT_NO_FATAL_FAILURE(ExpectBatchReadsMatchPerIdReads(MixedBatch()));
 }
 
